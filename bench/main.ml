@@ -130,7 +130,7 @@ let bench_tests () =
         (Staged.stage (fun () ->
              let eng =
                Engine.create g
-                 (Ds_congest.Multi_bf.protocol
+                 (Ds_congest.Multi_bf.protocol ~n:(Graph.n g)
                     ~is_source:(fun u -> u < 8)
                     ~bound:(fun _ -> Ds_graph.Dist.none))
              in

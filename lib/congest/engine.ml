@@ -48,11 +48,16 @@ type jitter = { rng : Rng.t; max_delay : int }
    Delivery is sharded by destination node: node [u] belongs to chunk
    [u / chunk_div], and [active.(c)] holds exactly the nonempty links
    whose destination lies in chunk [c]. All of a node's incoming links
-   live in one bucket, so each inbox has a single writer and the phase
-   is race-free under any pool. Per-chunk scratch ([d_*], [recv_new])
-   is reduced sequentially in chunk order, and each chunk's receivers
-   are sorted before scheduling, so metrics and traces are
-   bit-identical for every pool size. *)
+   live in one bucket, so each node's delivery slots have a single
+   writer and the phase is race-free under any pool. A delivered
+   message lands in its link's slot (see [Slots]); compute gathers a
+   node's slots, already in canonical order, into its chunk's one
+   reusable inbox. Per-chunk scratch ([d_*], [recv_new]) is reduced
+   sequentially in chunk order, so metrics and traces are
+   bit-identical for every pool size. Nothing observable depends on
+   the order of the run list — each node's inbox comes from its own
+   slots, and every per-round figure is a sum or a maximum over
+   nodes — so sorting it (see [deliver]) is only for speed. *)
 type ('state, 'msg) t = {
   graph : Graph.t;
   protocol : ('state, 'msg) protocol;
@@ -67,10 +72,11 @@ type ('state, 'msg) t = {
   q_head : int array; (* per link: ring read position *)
   q_len : int array; (* per link: queued message count *)
   link_dst : int array; (* destination node of each link *)
-  link_rev : int array; (* index of the sender in dst's adjacency *)
+  link_slot : int array; (* delivery slot: the reverse link's id *)
   link_chunk : int array; (* delivery chunk of each link's destination *)
-  link_pushes : int array; (* messages ever pushed; jitter hash input *)
-  inboxes : 'msg Inbox.t array;
+  link_pushes : int array; (* messages ever pushed; jitter only *)
+  slots : 'msg Slots.t;
+  inbox : 'msg Inbox.t array; (* per chunk: reused by every node it runs *)
   (* Delivery sharding. [nchunks] equals the pool width; chunk [c]
      owns nodes [c * chunk_div, (c+1) * chunk_div). The [d_*] arrays
      are per-chunk counters written only by the chunk's owner during
@@ -98,7 +104,7 @@ type ('state, 'msg) t = {
   (* Round bodies, preallocated once so the per-round loops close over
      nothing: a steady-state round must not allocate even one closure. *)
   mutable deliver_body : int -> int -> int -> unit;
-  mutable compute_body : int -> unit;
+  mutable compute_body : int -> int -> int -> unit;
   metrics : Metrics.t;
   tracer : Trace.t option;
   obs : Obs_hooks.t option;
@@ -183,13 +189,11 @@ let rec count_active_from t c acc =
 let count_active t = count_active_from t 0 0
 
 (* Scan chunk [c]'s active links once: release each deliverable head
-   into its destination inbox and compact drained links away in place
-   (stable, so the relative order of any node's incoming links — and
-   hence its inbox interleaving — is preserved). [jit] hoists the
-   jitter test out of the loop; without jitter the head of a nonempty
-   FIFO ring is always deliverable, so no ready round is ever read.
-   Written as a tail-recursive loop over plain ints — a [ref]
-   accumulator would heap-allocate in every round. *)
+   into its delivery slot and compact drained links away in place.
+   [jit] hoists the jitter test out of the loop; without jitter the
+   head of a nonempty FIFO ring is always deliverable, so no ready
+   round is ever read. Written as a tail-recursive loop over plain
+   ints — a [ref] accumulator would heap-allocate in every round. *)
 let rec scan_bucket t c act jit now idx nact kept =
   if idx >= nact then kept
   else begin
@@ -204,9 +208,8 @@ let rec scan_bucket t c act jit now idx nact kept =
         let len = t.q_len.(l) - 1 in
         t.q_len.(l) <- len;
         let v = t.link_dst.(l) in
-        let inbox = t.inboxes.(v) in
-        if Inbox.length inbox = 0 then Ivec.push t.recv_new.(c) v;
-        Inbox.push inbox t.link_rev.(l) m;
+        if Slots.put t.slots ~round:now v t.link_slot.(l) m = 0 then
+          Ivec.push t.recv_new.(c) v;
         t.d_delivered.(c) <- t.d_delivered.(c) + 1;
         let w = t.protocol.msg_words m in
         t.d_words.(c) <- t.d_words.(c) + w;
@@ -233,18 +236,23 @@ let deliver_bucket t c =
   if nact > 0 then begin
     let jit = t.jitter <> None in
     let kept = scan_bucket t c act jit (t.round + 1) 0 nact 0 in
-    Ivec.truncate act kept;
-    (* Canonicalise each receiver's inbox (ascending sender neighbor
-       index). Link-activation order — which the scan above preserves
-       — depends on execution history; the canonical order does not,
-       so inbox interleavings match [Shard_engine]'s byte for byte. *)
-    let rn = t.recv_new.(c) in
-    for i = 0 to Ivec.length rn - 1 do
-      let v = Ivec.get rn i in
-      Inbox.sort_by_from t.inboxes.(v)
-        ~degree:(t.offsets.(v + 1) - t.offsets.(v))
-    done
+    Ivec.truncate act kept
   end
+
+(* The slot array is allocated at the first delivery, from a message
+   already on the wire (see [Slots.prime]). *)
+let prime_slots t =
+  match Array.find_opt (fun act -> Ivec.length act > 0) t.active with
+  | Some act ->
+    let l = Ivec.get act 0 in
+    Slots.prime t.slots t.q_msg.(l).(t.q_head.(l))
+  | None -> ()
+
+(* Run node [u] on [inbox], its chunk's reusable buffer. *)
+let run_node t inbox u =
+  Slots.gather t.slots inbox ~round:t.round u;
+  t.protocol.on_round t.apis.(u) t.node_states.(u) inbox;
+  Inbox.clear inbox
 
 let create ?(pool = Pool.sequential) ?jitter ?tracer ?obs g protocol =
   let n = Graph.n g in
@@ -255,16 +263,17 @@ let create ?(pool = Pool.sequential) ?jitter ?tracer ?obs g protocol =
   let m2 = offsets.(n) in
   let nchunks = Pool.domains pool in
   let chunk_div = max 1 ((n + nchunks - 1) / nchunks) in
-  let link_dst = Array.make (max 1 m2) 0 and link_rev = Array.make (max 1 m2) 0 in
+  let link_dst = Array.make (max 1 m2) 0 and link_slot = Array.make (max 1 m2) 0 in
   let link_chunk = Array.make (max 1 m2) 0 in
   for u = 0 to n - 1 do
     for i = 0 to Graph.degree g u - 1 do
       let v = Graph.neighbor_node g u i in
       link_dst.(offsets.(u) + i) <- v;
-      link_rev.(offsets.(u) + i) <- Graph.neighbor_index g v u;
+      link_slot.(offsets.(u) + i) <- offsets.(v) + Graph.neighbor_index g v u;
       link_chunk.(offsets.(u) + i) <- v / chunk_div
     done
   done;
+  let jittered = jitter <> None in
   let t =
     {
       graph = g;
@@ -277,14 +286,15 @@ let create ?(pool = Pool.sequential) ?jitter ?tracer ?obs g protocol =
       node_states = [||];
       offsets;
       q_msg = Array.make (max 1 m2) [||];
-      q_ready = Array.make (max 1 m2) [||];
+      q_ready = (if jittered then Array.make (max 1 m2) [||] else [||]);
       q_head = Array.make (max 1 m2) 0;
       q_len = Array.make (max 1 m2) 0;
       link_dst;
-      link_rev;
+      link_slot;
       link_chunk;
-      link_pushes = Array.make (max 1 m2) 0;
-      inboxes = Array.init n (fun _ -> Inbox.create ());
+      link_pushes = (if jittered then Array.make (max 1 m2) 0 else [||]);
+      slots = Slots.create ~offsets;
+      inbox = Array.init nchunks (fun _ -> Inbox.create ());
       nchunks;
       chunk_div;
       active = Array.init nchunks (fun _ -> Ivec.create ());
@@ -300,7 +310,7 @@ let create ?(pool = Pool.sequential) ?jitter ?tracer ?obs g protocol =
       in_now = Bytes.make n '\000';
       in_next = Bytes.make n '\000';
       deliver_body = (fun _ _ _ -> ());
-      compute_body = ignore;
+      compute_body = (fun _ _ _ -> ());
       metrics = Metrics.create ();
       tracer;
       obs = Obs_hooks.of_opt obs;
@@ -316,11 +326,11 @@ let create ?(pool = Pool.sequential) ?jitter ?tracer ?obs g protocol =
         deliver_bucket t c
       done);
   t.compute_body <-
-    (fun idx ->
-      let u = Ivec.get t.run_now idx in
-      let inbox = t.inboxes.(u) in
-      t.protocol.on_round t.apis.(u) t.node_states.(u) inbox;
-      Inbox.clear inbox);
+    (fun c lo hi ->
+      let inbox = t.inbox.(c) in
+      for idx = lo to hi - 1 do
+        run_node t inbox (Ivec.get t.run_now idx)
+      done);
   let make_api u =
     let deg = offsets.(u + 1) - offsets.(u) in
     let send i m =
@@ -329,9 +339,14 @@ let create ?(pool = Pool.sequential) ?jitter ?tracer ?obs g protocol =
           (Printf.sprintf "Engine(%s): message exceeds %d words" protocol.name
              protocol.max_msg_words);
       let l = t.offsets.(u) + i in
-      let seq = t.link_pushes.(l) in
-      t.link_pushes.(l) <- seq + 1;
-      let len = push_msg t l m (t.round + 1 + link_delay t l seq) in
+      let len =
+        if jittered then begin
+          let seq = t.link_pushes.(l) in
+          t.link_pushes.(l) <- seq + 1;
+          push_msg t l m (t.round + 1 + link_delay t l seq)
+        end
+        else push_msg t l m 0
+      in
       if len = 1 then Ivec.push t.activated.(u) l;
       if len > t.push_backlog.(u) then t.push_backlog.(u) <- len;
       t.enqueued.(u) <- t.enqueued.(u) + 1
@@ -380,11 +395,14 @@ let create ?(pool = Pool.sequential) ?jitter ?tracer ?obs g protocol =
 (* Delivery happens at the start of round (t.round + 1): each chunk's
    bucket is scanned — on the pool when enough links are active,
    inline otherwise — then the per-chunk scratch is reduced here,
-   sequentially and in chunk order. Sorting each chunk's receivers
-   makes the concatenation globally sorted (chunk [c] owns a node
-   range below chunk [c+1]'s), so the run list, and with it every
-   downstream order, is independent of how many chunks exist. *)
+   sequentially and in chunk order, and the receivers join the run
+   list. The run list is then put in ascending node order. This is for
+   speed, not determinism: node ids index the apis, states, slots and
+   protocol tables, so compute sweeps them in address order, and the
+   links it activates reach the next round's buckets in the same
+   order. *)
 let deliver t =
+  if not (Slots.primed t.slots) then prime_slots t;
   if t.nchunks > 1 && count_active t >= par_threshold then
     ignore (Pool.parallel_chunks t.pool ~n:t.nchunks t.deliver_body)
   else
@@ -395,12 +413,11 @@ let deliver t =
   let obs = t.obs in
   for c = 0 to t.nchunks - 1 do
     let rn = t.recv_new.(c) in
-    if Ivec.length rn > 1 then Ivec.sort rn;
     for i = 0 to Ivec.length rn - 1 do
       let v = Ivec.get rn i in
       schedule_now t v;
       match trc with
-      | Some tr -> Trace.count_recv tr v (Inbox.length t.inboxes.(v))
+      | Some tr -> Trace.count_recv tr v (Slots.count t.slots v)
       | None -> ()
     done;
     Ivec.clear rn;
@@ -412,7 +429,8 @@ let deliver t =
       Ds_obs.Obs.add o.Obs_hooks.words ~shard:c t.d_words.(c)
     | None -> ());
     t.in_flight <- t.in_flight - t.d_delivered.(c)
-  done
+  done;
+  Ivec.sort_flagged t.run_now t.in_now ~lo:0 ~hi:(Bytes.length t.in_now)
 
 let step t =
   (* With nothing in flight nobody can be woken by a message, so run
@@ -442,16 +460,7 @@ let step t =
   t.round <- t.round + 1;
   Metrics.tick_round t.metrics;
   let rl = t.run_now in
-  (* Single-domain engines take the direct loop: same body, minus the
-     dispatch checks and the indirect call per node. *)
-  if t.nchunks = 1 then
-    for idx = 0 to Ivec.length rl - 1 do
-      let u = Ivec.get rl idx in
-      let inbox = t.inboxes.(u) in
-      t.protocol.on_round t.apis.(u) t.node_states.(u) inbox;
-      Inbox.clear inbox
-    done
-  else Pool.parallel_for t.pool ~lo:0 ~hi:(Ivec.length rl) t.compute_body;
+  ignore (Pool.parallel_chunks t.pool ~n:(Ivec.length rl) t.compute_body);
   let ran = Ivec.length rl in
   (* Sequentially absorb the round's sends from the per-node scratch:
      O(nodes that ran + links activated), independent of pool size and
@@ -525,8 +534,8 @@ let quiescent t = t.in_flight = 0
 let all_halted t = Array.for_all t.protocol.halted t.node_states
 
 (* Backbone footprint in machine words: every flat int array, ring
-   capacity and membership byte the plane owns. Message ring slots
-   count one word each (the payload is an int pair or an immediate in
+   capacity and membership byte the plane owns. Message ring and slot
+   entries count one word each (the payload is an immediate int in
    every protocol here; boxed payloads add their own heap cost on
    top). Protocol state is the protocol's business and not counted. *)
 let mem_words t =
@@ -536,12 +545,13 @@ let mem_words t =
   add (Array.length t.q_head);
   add (Array.length t.q_len);
   add (Array.length t.link_dst);
-  add (Array.length t.link_rev);
+  add (Array.length t.link_slot);
   add (Array.length t.link_chunk);
   add (Array.length t.link_pushes);
   Array.iter (fun ring -> add (Array.length ring)) t.q_msg;
   Array.iter (fun rdy -> add (Array.length rdy)) t.q_ready;
-  Array.iter (fun b -> add (Inbox.mem_words b)) t.inboxes;
+  add (Slots.mem_words t.slots);
+  Array.iter (fun b -> add (Inbox.mem_words b)) t.inbox;
   Array.iter (fun v -> add (Ivec.capacity v)) t.active;
   Array.iter (fun v -> add (Ivec.capacity v)) t.recv_new;
   Array.iter (fun v -> add (Ivec.capacity v)) t.activated;

@@ -108,6 +108,6 @@ val par_threshold : int
 
 val mem_words : ('state, 'msg) t -> int
 (** Backbone footprint in machine words: link tables, ring
-    capacities, inboxes, worklists and membership flags — everything
-    the plane owns, at its current high-water capacity. Protocol
-    state is not counted. *)
+    capacities, delivery slots, inboxes, worklists and membership
+    flags — everything the plane owns, at its current high-water
+    capacity. Protocol state is not counted. *)

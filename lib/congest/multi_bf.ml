@@ -108,18 +108,19 @@ let accept st src nd from =
     else insert st src nd from
   end
 
-let pop_and_broadcast api st =
+let pop_and_broadcast api sp st =
   if st.pend_len > 0 then begin
     let src = st.pend.(st.pend_head) in
     st.pend_head <- (st.pend_head + 1) land (Array.length st.pend - 1);
     st.pend_len <- st.pend_len - 1;
     let j = slot st src in
     st.queued.(j) <- 0;
-    api.Engine.broadcast (src, st.dist.(j))
+    api.Engine.broadcast (Wire.pack sp ~src ~dist:st.dist.(j))
   end
 
-let protocol ~is_source ~bound : (state, int * int) Engine.protocol =
+let protocol ~n ~is_source ~bound : (state, int) Engine.protocol =
   let open Engine in
+  let sp = Wire.split n in
   {
     name = "multi-bf";
     max_msg_words = 2;
@@ -155,11 +156,12 @@ let protocol ~is_source ~bound : (state, int * int) Engine.protocol =
         (* Indexed loop: [Inbox.iter] would allocate its callback
            closure on every node-round. *)
         for i = 0 to Engine.Inbox.length inbox - 1 do
-          let src, dist = Engine.Inbox.msg inbox i in
+          let w = Engine.Inbox.msg inbox i in
           let from = Engine.Inbox.from inbox i in
-          accept st src (dist + api.neighbor_weight from) from
+          accept st (Wire.src sp w) (Wire.dist sp w + api.neighbor_weight from)
+            from
         done;
-        pop_and_broadcast api st);
+        pop_and_broadcast api sp st);
   }
 
 let found st =
@@ -179,15 +181,7 @@ let found_with_parents st =
 
 let max_pending st = st.max_pending
 
-let codec =
-  let open Ds_util in
-  {
-    Superstep.encode =
-      (fun b (src, dist) ->
-        Ivec.push b src;
-        Ivec.push b dist);
-    decode = (fun w o -> (Ivec.get w o, Ivec.get w (o + 1)));
-  }
+let codec = Wire.codec
 
 let run ?backend ?pool ?shards ?tracer ?obs g ~sources ~bound =
   let n = Graph.n g in
@@ -195,7 +189,7 @@ let run ?backend ?pool ?shards ?tracer ?obs g ~sources ~bound =
   List.iter (fun s -> src_set.(s) <- true) sources;
   let r =
     Plane.run ?backend ?pool ?shards ?tracer ?obs ~codec g
-      (protocol ~is_source:(fun u -> src_set.(u)) ~bound)
+      (protocol ~n ~is_source:(fun u -> src_set.(u)) ~bound)
   in
   (match r.Plane.stop with
   | Quiescent | All_halted -> ()

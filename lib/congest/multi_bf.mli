@@ -21,10 +21,13 @@
 type state
 
 val protocol :
-  is_source:(int -> bool) -> bound:(int -> int * int) ->
-  (state, int * int) Engine.protocol
+  n:int -> is_source:(int -> bool) -> bound:(int -> int * int) ->
+  (state, int) Engine.protocol
 (** [bound u] is the tie-broken exclusive upper limit for node [u];
-    use [fun _ -> Dist.none] for unrestricted flooding. *)
+    use [fun _ -> Dist.none] for unrestricted flooding. Messages are
+    {!Wire} words packed with the split of an [n]-node graph; a
+    distance above {!Wire.max_dist} raises [Invalid_argument]. The
+    model charge stays 2 words per message. *)
 
 val found : state -> (int * int) list
 (** [(source, distance)] pairs accepted by this node — exactly
@@ -42,9 +45,9 @@ val max_pending : state -> int
 (** High-water mark of the pending-source FIFO (the quantity Lemma 3.7
     bounds by [O(n^{1/k} log n)]). *)
 
-val codec : (int * int) Superstep.codec
-(** Wire codec for the [(source, distance)] announcements — what the
-    sharded backend ships in its bulk batches. *)
+val codec : int Superstep.codec
+(** Wire codec for the packed [(source, distance)] announcements: one
+    wire word each ({!Wire.codec}). *)
 
 val run :
   ?backend:Plane.backend -> ?pool:Ds_parallel.Pool.t -> ?shards:int ->

@@ -9,17 +9,18 @@
                it — as [link; width; words...] — to the wire batch
                for the destination's shard;
      deliver   (parallel, by destination shard): decode each incoming
-               batch straight into the per-node inboxes, canonicalise
-               inbox order, schedule receivers;
-     compute   (parallel, by shard): run [on_round] for the shard's
-               active nodes; sends encode into the shard's scratch
-               and append to the sender-owned link rings;
+               batch straight into the receivers' delivery slots (see
+               [Slots]), schedule receivers;
+     compute   (parallel, by shard): gather each active node's slots
+               into the shard's reusable inbox and run [on_round];
+               sends encode into the shard's scratch and append to the
+               sender-owned link rings;
      absorb    (sequential): reduce the per-shard counters into
                {!Metrics} in shard order.
 
    The per-link FIFO rings enforce the CONGEST wire discipline (one
-   message per link per round, FIFO order), and every inbox is
-   canonicalised to ascending sender index, so the per-round inbox
+   message per link per round, FIFO order), and slot order is the
+   canonical ascending sender index, so the per-round inbox
    contents — and therefore sketches, metrics, round counts and
    backlog maxima — are byte-identical to {!Engine}'s, for any shard
    count. What changes is the data movement: messages travel in
@@ -42,7 +43,7 @@ type ('state, 'msg) t = {
   mutable node_states : 'state array;
   offsets : int array; (* length n+1; prefix sums of degrees *)
   link_dst : int array; (* destination node of each directed link *)
-  link_rev : int array; (* index of the sender in dst's adjacency *)
+  link_slot : int array; (* delivery slot: the reverse link's id *)
   link_dshard : int array; (* destination shard of each link *)
   (* Sender-owned flat word rings, one per directed link. Each entry
      is [width; payload words...]; power-of-two capacity with
@@ -58,7 +59,8 @@ type ('state, 'msg) t = {
      shard [s] to shard [d] this round; written only by [s] during
      exchange, read and cleared only by [d] during deliver. *)
   wire : Ivec.t array;
-  inboxes : 'msg Superstep.Inbox.t array;
+  slots : 'msg Slots.t;
+  inbox : 'msg Superstep.Inbox.t array; (* per shard, reused per node *)
   recv_new : Ivec.t array; (* per dst shard: this round's receivers *)
   (* Scheduling, per shard: same contract as [Engine] — last round's
      senders plus this round's receivers run, or every node on a
@@ -165,16 +167,15 @@ let exchange_shard t s =
     Ivec.truncate act kept
   end
 
-(* Decode one wire batch into shard [d]'s inboxes. *)
+(* Decode one wire batch into shard [d]'s delivery slots. *)
 let rec deliver_wire t d w off len =
   if off < len then begin
     let l = Ivec.get w off in
     let width = Ivec.get w (off + 1) in
     let m = t.codec.decode w (off + 2) in
     let v = t.link_dst.(l) in
-    let inbox = t.inboxes.(v) in
-    if Superstep.Inbox.length inbox = 0 then Ivec.push t.recv_new.(d) v;
-    Superstep.Inbox.push inbox t.link_rev.(l) m;
+    if Slots.put t.slots ~round:(t.round + 1) v t.link_slot.(l) m = 0 then
+      Ivec.push t.recv_new.(d) v;
     if Bytes.get t.in_now v = '\000' then begin
       Bytes.set t.in_now v '\001';
       Ivec.push t.run_now.(d) v
@@ -194,20 +195,26 @@ let deliver_shard t d =
     let w = t.wire.((s * t.nshards) + d) in
     deliver_wire t d w 0 (Ivec.length w);
     Ivec.clear w
-  done;
-  (* Canonical inbox order: ascending sender neighbor index. *)
-  let rn = t.recv_new.(d) in
-  for i = 0 to Ivec.length rn - 1 do
-    let v = Ivec.get rn i in
-    Superstep.Inbox.sort_by_from t.inboxes.(v)
-      ~degree:(t.offsets.(v + 1) - t.offsets.(v))
   done
 
+(* The slot array is allocated at the first delivery, from a message
+   already on the wire (see [Slots.prime]). Entries are framed as
+   [link; width; words...], so a batch's first message starts at 2. *)
+let prime_slots t =
+  match Array.find_opt (fun w -> Ivec.length w > 0) t.wire with
+  | Some w -> Slots.prime t.slots (t.codec.decode w 2)
+  | None -> ()
+
+(* Shard [s] runs its nodes in ascending order, for memory locality
+   (see [Engine.deliver]). *)
 let compute_shard t s =
   let rl = t.run_now.(s) in
+  let lo = s * t.shard_div in
+  Ivec.sort_flagged rl t.in_now ~lo ~hi:(min (Graph.n t.graph) (lo + t.shard_div));
+  let inbox = t.inbox.(s) in
   for idx = 0 to Ivec.length rl - 1 do
     let u = Ivec.get rl idx in
-    let inbox = t.inboxes.(u) in
+    Slots.gather t.slots inbox ~round:t.round u;
     t.protocol.on_round t.apis.(u) t.node_states.(u) inbox;
     Superstep.Inbox.clear inbox;
     Bytes.set t.in_now u '\000'
@@ -272,13 +279,13 @@ let create ?(pool = Pool.sequential) ?shards ?tracer ?obs ~codec g protocol =
   done;
   let m2 = offsets.(n) in
   let link_dst = Array.make (max 1 m2) 0
-  and link_rev = Array.make (max 1 m2) 0
+  and link_slot = Array.make (max 1 m2) 0
   and link_dshard = Array.make (max 1 m2) 0 in
   for u = 0 to n - 1 do
     for i = 0 to Graph.degree g u - 1 do
       let v = Graph.neighbor_node g u i in
       link_dst.(offsets.(u) + i) <- v;
-      link_rev.(offsets.(u) + i) <- Graph.neighbor_index g v u;
+      link_slot.(offsets.(u) + i) <- offsets.(v) + Graph.neighbor_index g v u;
       link_dshard.(offsets.(u) + i) <- v / shard_div
     done
   done;
@@ -295,7 +302,7 @@ let create ?(pool = Pool.sequential) ?shards ?tracer ?obs ~codec g protocol =
       node_states = [||];
       offsets;
       link_dst;
-      link_rev;
+      link_slot;
       link_dshard;
       ring = Array.make (max 1 m2) [||];
       r_head = Array.make (max 1 m2) 0;
@@ -304,7 +311,8 @@ let create ?(pool = Pool.sequential) ?shards ?tracer ?obs ~codec g protocol =
       out_active = Array.init nshards (fun _ -> Ivec.create ());
       enc = Array.init nshards (fun _ -> Ivec.create ~capacity:8 ());
       wire = Array.init (nshards * nshards) (fun _ -> Ivec.create ());
-      inboxes = Array.init n (fun _ -> Superstep.Inbox.create ());
+      slots = Slots.create ~offsets;
+      inbox = Array.init nshards (fun _ -> Superstep.Inbox.create ());
       recv_new = Array.init nshards (fun _ -> Ivec.create ());
       run_now = Array.init nshards (fun _ -> Ivec.create ());
       run_next = Array.init nshards (fun _ -> Ivec.create ());
@@ -429,6 +437,7 @@ let step t =
   let t0 = match trc with Some _ -> Trace.now_ns () | None -> 0 in
   if t.in_flight > 0 then begin
     par_phase t t.exchange_body;
+    if not (Slots.primed t.slots) then prime_slots t;
     par_phase t t.deliver_body;
     for d = 0 to t.nshards - 1 do
       Metrics.count_delivered t.metrics ~messages:t.d_delivered.(d)
@@ -444,7 +453,7 @@ let step t =
         let rn = t.recv_new.(d) in
         for i = 0 to Ivec.length rn - 1 do
           let v = Ivec.get rn i in
-          Trace.count_recv tr v (Superstep.Inbox.length t.inboxes.(v))
+          Trace.count_recv tr v (Slots.count t.slots v)
         done
       | None -> ());
       Ivec.clear t.recv_new.(d)
@@ -530,7 +539,7 @@ let mem_words t =
   let add n = words := !words + n in
   add (Array.length t.offsets);
   add (Array.length t.link_dst);
-  add (Array.length t.link_rev);
+  add (Array.length t.link_slot);
   add (Array.length t.link_dshard);
   add (Array.length t.r_head);
   add (Array.length t.r_words);
@@ -539,7 +548,8 @@ let mem_words t =
   Array.iter (fun v -> add (Ivec.capacity v)) t.out_active;
   Array.iter (fun v -> add (Ivec.capacity v)) t.enc;
   Array.iter (fun v -> add (Ivec.capacity v)) t.wire;
-  Array.iter (fun b -> add (Superstep.Inbox.mem_words b)) t.inboxes;
+  add (Slots.mem_words t.slots);
+  Array.iter (fun b -> add (Superstep.Inbox.mem_words b)) t.inbox;
   Array.iter (fun v -> add (Ivec.capacity v)) t.recv_new;
   Array.iter (fun v -> add (Ivec.capacity v)) t.run_now;
   Array.iter (fun v -> add (Ivec.capacity v)) t.run_next;

@@ -65,5 +65,5 @@ val quiescent : ('state, 'msg) t -> bool
 
 val mem_words : ('state, 'msg) t -> int
 (** Backbone footprint in machine words: link tables, ring and batch
-    capacities, inboxes, worklists and flags at their current
-    high-water capacity. Protocol state is not counted. *)
+    capacities, delivery slots, inboxes, worklists and flags at their
+    current high-water capacity. Protocol state is not counted. *)

@@ -1,10 +1,19 @@
 module Graph = Ds_graph.Graph
 module Dist = Ds_graph.Dist
 
-type msg =
-  | Update of { src : int; dist : int }
-  | Claim
-  | Unclaim
+(* One immediate word. The low two bits are the tag — 0 Update,
+   1 Claim, 2 Unclaim — and an Update carries a [Wire]-packed
+   (src, dist) word above them. *)
+type msg = int
+
+let split n = Wire.split ~tag_bits:2 n
+let update sp ~src ~dist = Wire.pack sp ~src ~dist lsl 2
+let claim = 1
+let unclaim = 2
+
+let tag m = m land 3
+let update_src sp m = Wire.src sp (m lsr 2)
+let update_dist sp m = Wire.dist sp (m lsr 2)
 
 type state = {
   mutable best_dist : int;
@@ -14,10 +23,11 @@ type state = {
   child : bool array; (* per neighbor index *)
 }
 
-let msg_words = function Update _ -> 2 | Claim | Unclaim -> 1
+let msg_words m = if tag m = 0 then 2 else 1
 
-let protocol ~is_source : (state, msg) Engine.protocol =
+let protocol ~n ~is_source : (state, msg) Engine.protocol =
   let open Engine in
+  let sp = split n in
   {
     name = "super-bf";
     max_msg_words = 2;
@@ -35,30 +45,35 @@ let protocol ~is_source : (state, msg) Engine.protocol =
             child = Array.make api.degree false;
           }
         in
-        if source then api.broadcast (Update { src = api.id; dist = 0 });
+        if source then api.broadcast (update sp ~src:api.id ~dist:0);
         st);
     on_round =
       (fun api st inbox ->
-        let process i m =
-          match m with
-          | Claim -> st.child.(i) <- true
-          | Unclaim -> st.child.(i) <- false
-          | Update { src; dist } ->
-            let nd = dist + api.neighbor_weight i in
-            if Dist.lex_lt (nd, src) (st.best_dist, st.best_src) then begin
-              if st.parent_idx >= 0 && st.parent_idx <> i then
-                api.send st.parent_idx Unclaim;
-              if st.parent_idx <> i then api.send i Claim;
+        (* Indexed loop: [Inbox.iter] would allocate a closure per
+           node-round. *)
+        for i = 0 to Engine.Inbox.length inbox - 1 do
+          let m = Engine.Inbox.msg inbox i in
+          let from = Engine.Inbox.from inbox i in
+          match tag m with
+          | 1 -> st.child.(from) <- true
+          | 2 -> st.child.(from) <- false
+          | _ ->
+            let src = update_src sp m in
+            let nd = update_dist sp m + api.neighbor_weight from in
+            if nd < st.best_dist || (nd = st.best_dist && src < st.best_src)
+            then begin
+              if st.parent_idx >= 0 && st.parent_idx <> from then
+                api.send st.parent_idx unclaim;
+              if st.parent_idx <> from then api.send from claim;
               st.best_dist <- nd;
               st.best_src <- src;
-              st.parent_idx <- i;
+              st.parent_idx <- from;
               st.dirty <- true
             end
-        in
-        Engine.Inbox.iter process inbox;
+        done;
         if st.dirty then begin
           st.dirty <- false;
-          api.broadcast (Update { src = st.best_src; dist = st.best_dist })
+          api.broadcast (update sp ~src:st.best_src ~dist:st.best_dist)
         end);
   }
 
@@ -69,25 +84,7 @@ type result = {
   children : int list array;
 }
 
-let codec =
-  let open Ds_util in
-  {
-    Superstep.encode =
-      (fun b m ->
-        match m with
-        | Update { src; dist } ->
-          Ivec.push b 0;
-          Ivec.push b src;
-          Ivec.push b dist
-        | Claim -> Ivec.push b 1
-        | Unclaim -> Ivec.push b 2);
-    decode =
-      (fun w o ->
-        match Ivec.get w o with
-        | 0 -> Update { src = Ivec.get w (o + 1); dist = Ivec.get w (o + 2) }
-        | 1 -> Claim
-        | _ -> Unclaim);
-  }
+let codec = Wire.codec
 
 let run ?backend ?pool ?shards ?jitter ?tracer ?obs g ~sources =
   let n = Graph.n g in
@@ -95,7 +92,7 @@ let run ?backend ?pool ?shards ?jitter ?tracer ?obs g ~sources =
   List.iter (fun s -> src_set.(s) <- true) sources;
   let r =
     Plane.run ?backend ?pool ?shards ?jitter ?tracer ?obs ~codec g
-      (protocol ~is_source:(fun u -> src_set.(u)))
+      (protocol ~n ~is_source:(fun u -> src_set.(u)))
   in
   (match r.Plane.stop with
   | Quiescent | All_halted -> ()

@@ -17,9 +17,31 @@ type result = {
   children : int list array;  (** forest children node IDs *)
 }
 
-type msg
+type msg = private int
+(** One immediate word: a 2-bit tag, and for an update a {!Wire}-packed
+    [(source, distance)] above it. The model charge is 2 words for an
+    update and 1 for a claim or unclaim. *)
+
+val split : int -> Wire.split
+(** The split of an [n]-node graph, with 2 tag bits reserved. *)
+
+val update : Wire.split -> src:int -> dist:int -> msg
+(** Raises [Invalid_argument] like {!Wire.pack}. *)
+
+val claim : msg
+val unclaim : msg
+
+val tag : msg -> int
+(** [0] for an update, [1] for a claim, [2] for an unclaim. *)
+
+val update_src : Wire.split -> msg -> int
+(** The source of an update (tag [0]). *)
+
+val update_dist : Wire.split -> msg -> int
+(** The distance of an update (tag [0]). *)
 
 val codec : msg Superstep.codec
+(** One wire word per message ({!Wire.codec}). *)
 
 val run :
   ?backend:Plane.backend -> ?pool:Ds_parallel.Pool.t -> ?shards:int ->

@@ -17,11 +17,11 @@ type 'msg api = {
   round : unit -> int;
 }
 
-(* Reusable per-node inbox: two parallel growable arrays, cleared (not
-   reallocated) after each round, so steady-state delivery allocates
-   nothing for the backbone. Cleared slots keep their last message
-   until overwritten; messages are small words in every protocol here,
-   so the retention is harmless. *)
+(* Reusable inbox: two parallel growable arrays, filled for one node's
+   [on_round] and cleared (not reallocated) after it, so steady-state
+   delivery allocates nothing for the backbone. Cleared slots keep
+   their last message until overwritten; messages are small words in
+   every protocol here, so the retention is harmless. *)
 module Inbox = struct
   type 'msg t = {
     mutable froms : int array;
@@ -70,52 +70,9 @@ module Inbox = struct
 
   let to_list b = List.init b.len (fun i -> (b.froms.(i), b.msgs.(i)))
 
-  (* Canonical per-round order: ascending sender neighbor index. The
-     wire discipline delivers at most one message per incoming link
-     per round, so [froms] holds distinct values in [0, degree) and
-     the order is unique — every backend (and every shard count)
-     produces byte-identical inbox interleavings, which is what makes
-     sketches and metrics backend-independent. Allocation-free: a
-     recursive insertion sort for the common short inbox, and — when
-     every link delivered, so [froms] is a full permutation of
-     [0, degree) — an in-place cycle placement that costs O(len)
-     instead of O(len^2) (the flooding-on-a-clique case). *)
-  let rec insert_back b j f m =
-    if j >= 0 && b.froms.(j) > f then begin
-      b.froms.(j + 1) <- b.froms.(j);
-      b.msgs.(j + 1) <- b.msgs.(j);
-      insert_back b (j - 1) f m
-    end
-    else begin
-      b.froms.(j + 1) <- f;
-      b.msgs.(j + 1) <- m
-    end
-
-  let rec settle b i =
-    let f = b.froms.(i) in
-    if f <> i then begin
-      let f2 = b.froms.(f) and m2 = b.msgs.(f) in
-      b.froms.(f) <- f;
-      b.msgs.(f) <- b.msgs.(i);
-      b.froms.(i) <- f2;
-      b.msgs.(i) <- m2;
-      settle b i
-    end
-
   (* Capacity in slots; [msgs] slots count one word each (a pointer or
      an immediate — boxed payloads add their own heap cost on top). *)
   let mem_words b = Array.length b.froms + Array.length b.msgs
-
-  let sort_by_from b ~degree =
-    if b.len > 1 then
-      if b.len = degree then
-        for i = 0 to b.len - 1 do
-          settle b i
-        done
-      else
-        for i = 1 to b.len - 1 do
-          insert_back b (i - 1) b.froms.(i) b.msgs.(i)
-        done
 end
 
 type ('state, 'msg) protocol = {

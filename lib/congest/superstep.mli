@@ -2,8 +2,8 @@
 
     A message plane executes a protocol in synchronous supersteps:
     in each round every node may {i send} one message per incident
-    link, the plane {i delivers} last round's messages into per-node
-    inboxes, and the {i active set} — last round's senders, this
+    link, the plane {i delivers} last round's messages to their
+    receivers, and the {i active set} — last round's senders, this
     round's receivers, or everyone on a probe round — runs
     [on_round]. Two backends implement the contract:
 
@@ -32,14 +32,18 @@ type 'msg api = {
 (** A node's inbox for one round, as [(neighbor index, message)]
     pairs. Delivery order is canonical: ascending sender neighbor
     index (unique per round, since the wire discipline admits at most
-    one message per link per round). The buffer is reused — cleared,
-    not reallocated, between rounds — so it is only valid during the
-    [on_round] call it was passed to; copy out anything kept. *)
+    one message per link per round). Backends deliver each message
+    into a slot indexed by its link ({!Slots}) and read a node's slots
+    in slot order, which is this order, so no backend sorts. The
+    buffer is shared: one per pool chunk, refilled for each node just
+    before its [on_round] and cleared right after. It is therefore
+    only valid during the [on_round] call it was passed to; copy out
+    anything kept. *)
 module Inbox : sig
   type 'msg t
 
   val create : unit -> 'msg t
-  (** An empty inbox; backends make one per node and reuse it. *)
+  (** An empty inbox; backends make one per pool chunk and reuse it. *)
 
   val length : 'msg t -> int
   (** Deliveries in this round's inbox. *)
@@ -70,11 +74,6 @@ module Inbox : sig
 
   val mem_words : 'msg t -> int
   (** Backing capacity in words ([msgs] slots count one word each). *)
-
-  val sort_by_from : 'msg t -> degree:int -> unit
-  (** Restore the canonical order after out-of-order delivery.
-      Requires distinct [from] values in [0, degree) (the wire
-      discipline guarantees this). Allocation-free. *)
 end
 
 type ('state, 'msg) protocol = {

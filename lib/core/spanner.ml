@@ -45,7 +45,7 @@ let of_distributed ?pool g ~levels =
   let phase_metrics = ref [] in
   for i = k - 1 downto 0 do
     let proto =
-      Multi_bf.protocol
+      Multi_bf.protocol ~n
         ~is_source:(fun u -> Levels.level levels u = i)
         ~bound:(fun u -> pivot.(u))
     in

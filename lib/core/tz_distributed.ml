@@ -24,7 +24,7 @@ let build ?backend ?pool ?shards ?tracer ?obs g ~levels =
   let mem_words = ref 0 in
   for i = k - 1 downto 0 do
     let proto =
-      Multi_bf.protocol
+      Multi_bf.protocol ~n
         ~is_source:(fun u -> Levels.level levels u = i)
         ~bound:(fun u -> pivot.(u))
     in

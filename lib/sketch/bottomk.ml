@@ -4,7 +4,7 @@ module Dijkstra = Ds_graph.Dijkstra
 module Engine = Ds_congest.Engine
 module Plane = Ds_congest.Plane
 module Metrics = Ds_congest.Metrics
-module Multi_bf = Ds_congest.Multi_bf
+module Wire = Ds_congest.Wire
 module Rng = Ds_util.Rng
 
 let rank ~seed v = Rng.mix (Rng.mix seed lxor v)
@@ -131,18 +131,19 @@ let accept st src nd =
     if admits st src r nd then insert st src r nd
   end
 
-let pop_and_broadcast api st =
+let pop_and_broadcast api sp st =
   if st.pend_len > 0 then begin
     let src = st.pend.(st.pend_head) in
     st.pend_head <- (st.pend_head + 1) land (Array.length st.pend - 1);
     st.pend_len <- st.pend_len - 1;
     let j = slot st src in
     st.queued.(j) <- 0;
-    api.Engine.broadcast (src, st.dist.(j))
+    api.Engine.broadcast (Wire.pack sp ~src ~dist:st.dist.(j))
   end
 
-let protocol ~k ~seed : (state, int * int) Engine.protocol =
+let protocol ~n ~k ~seed : (state, int) Engine.protocol =
   let open Engine in
+  let sp = Wire.split n in
   {
     name = "bottomk";
     max_msg_words = 2;
@@ -173,11 +174,11 @@ let protocol ~k ~seed : (state, int * int) Engine.protocol =
     on_round =
       (fun api st inbox ->
         for i = 0 to Engine.Inbox.length inbox - 1 do
-          let src, dist = Engine.Inbox.msg inbox i in
+          let w = Engine.Inbox.msg inbox i in
           let from = Engine.Inbox.from inbox i in
-          accept st src (dist + api.neighbor_weight from)
+          accept st (Wire.src sp w) (Wire.dist sp w + api.neighbor_weight from)
         done;
-        pop_and_broadcast api st);
+        pop_and_broadcast api sp st);
   }
 
 (* Greedy bottom-k filter over candidates sorted ascending by
@@ -225,8 +226,8 @@ type result = {
 let run ?backend ?pool ?shards ?tracer ?obs g ~k ~seed =
   if k < 1 then invalid_arg "Bottomk.run: k < 1";
   let r =
-    Plane.run ?backend ?pool ?shards ?tracer ?obs ~codec:Multi_bf.codec g
-      (protocol ~k ~seed)
+    Plane.run ?backend ?pool ?shards ?tracer ?obs ~codec:Wire.codec g
+      (protocol ~n:(Graph.n g) ~k ~seed)
   in
   (match r.Plane.stop with
   | Quiescent | All_halted -> ()

@@ -50,9 +50,9 @@ let append dst src =
 
 (* In-place ascending sort of the live prefix: insertion sort for short
    runs, heapsort above that. Both are allocation-free (int arguments,
-   no refs, no comparator closure) — the engine's per-round receiver
-   canonicalisation uses this and must keep steady-state rounds at
-   zero minor words, which Array.sort's boxed comparator would break. *)
+   no refs, no comparator closure) — the engines order short run lists
+   with this every round and must keep steady-state rounds at zero
+   minor words, which Array.sort's boxed comparator would break. *)
 let rec insert_back a j x =
   if j >= 0 && a.(j) > x then begin
     a.(j + 1) <- a.(j);
@@ -93,6 +93,20 @@ let sort t =
         sift_down a 0 (last - 1)
       done
     end
+
+(* The cutoff is where the two paths cost the same: a scan costs about
+   2.5 ns per flag byte and the in-place sort 100–300 ns per element
+   at these sizes, and on a 2-vCPU Xeon VM the crossover fell between
+   1/64 and 1/128 of the range for ranges of 4096, 40 000 and 100 000
+   (random subsets). *)
+let sort_flagged t flags ~lo ~hi =
+  if 64 * t.len >= hi - lo then begin
+    t.len <- 0;
+    for i = lo to hi - 1 do
+      if Bytes.get flags i <> '\000' then push t i
+    done
+  end
+  else sort t
 
 let iter f t =
   for i = 0 to t.len - 1 do

@@ -35,5 +35,13 @@ val sort : t -> unit
     no scratch), so it is safe in the engine's zero-alloc round path;
     not stable, which is irrelevant for ints. *)
 
+val sort_flagged : t -> Bytes.t -> lo:int -> hi:int -> unit
+(** [sort_flagged t flags ~lo ~hi] sorts [t], whose elements must be
+    exactly the indices in [\[lo, hi)] whose byte in [flags] is
+    nonzero. When [t] holds at least a 64th of the range it is
+    rebuilt by one scan of the flags, which then beats {!sort};
+    otherwise it is sorted in place, so the cost stays proportional to
+    [t] when it is short. Allocation-free; same result either way. *)
+
 val iter : (int -> unit) -> t -> unit
 val to_list : t -> int list

@@ -12,6 +12,8 @@ module Plane = Ds_congest.Plane
 module Superstep = Ds_congest.Superstep
 module Metrics = Ds_congest.Metrics
 module Multi_bf = Ds_congest.Multi_bf
+module Super_bf = Ds_congest.Super_bf
+module Wire = Ds_congest.Wire
 module Levels = Ds_core.Levels
 module Label = Ds_core.Label
 module Tz = Ds_core.Tz_distributed
@@ -133,34 +135,162 @@ let test_shard_count_invariant () =
       check_metrics_equal name ref_r.Tz.metrics r.Tz.metrics)
     [ 1; 2; 3; 7; 90; 500 ]
 
+(* A packed announcement crosses the wire as exactly one word. *)
 let test_codec_roundtrip () =
+  let sp = Wire.split 100_000 in
   let w = Ivec.create ~capacity:8 () in
   List.iter
     (fun (src, dist) ->
       Ivec.clear w;
-      Multi_bf.codec.Superstep.encode w (src, dist);
+      Multi_bf.codec.Superstep.encode w (Wire.pack sp ~src ~dist);
+      Alcotest.(check int) "one wire word" 1 (Ivec.length w);
+      let m = Multi_bf.codec.Superstep.decode w 0 in
       Alcotest.(check (pair int int))
         "multi-bf codec" (src, dist)
-        (Multi_bf.codec.Superstep.decode w 0))
-    [ (0, 0); (17, 42); (99_999, max_int / 2); (1, 1) ]
+        (Wire.src sp m, Wire.dist sp m))
+    [ (0, 0); (17, 42); (99_999, Wire.max_dist sp); (1, 1) ]
 
-(* Messages whose physical width differs per constructor share one
-   batch; decode must consume exactly what encode pushed. Run a
-   protocol that mixes 1-, 2- and 3-word messages (super-bf) through
-   the sharded plane and pin it to congest. *)
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* The split gives src ceil(log2 n) bits and dist the rest of 62, so
+   both extremes round-trip and one past the largest dist raises. *)
+let test_wire_packing_extremes () =
+  List.iter
+    (fun (n, dist_bits) ->
+      let sp = Wire.split n in
+      let top = Wire.max_dist sp in
+      let name = Printf.sprintf "n=%d" n in
+      Alcotest.(check int) (name ^ " max dist") ((1 lsl dist_bits) - 1) top;
+      List.iter
+        (fun (src, dist) ->
+          let m = Wire.pack sp ~src ~dist in
+          Alcotest.(check bool) (name ^ " non-negative") true (m >= 0);
+          Alcotest.(check (pair int int))
+            (name ^ " round-trip") (src, dist)
+            (Wire.src sp m, Wire.dist sp m))
+        [ (n - 1, top); (0, top); (n - 1, 0); (0, 0) ];
+      Alcotest.(check bool) (name ^ " dist overflow raises") true
+        (raises_invalid (fun () -> Wire.pack sp ~src:(n - 1) ~dist:(top + 1)));
+      Alcotest.(check bool) (name ^ " negative dist raises") true
+        (raises_invalid (fun () -> Wire.pack sp ~src:0 ~dist:(-1)));
+      Alcotest.(check bool) (name ^ " src overflow raises") true
+        (raises_invalid (fun () -> Wire.pack sp ~src:(1 lsl (62 - dist_bits)) ~dist:0)))
+    [ (1, 62); (2, 61); (1 lsl 20, 42) ]
+
+(* The decoders [Super_bf.on_round] runs: tag, then source and
+   distance of an update. *)
+let test_super_bf_tags () =
+  List.iter
+    (fun n ->
+      let sp = Super_bf.split n in
+      let top = Wire.max_dist sp in
+      Alcotest.(check int) "two tag bits" (Wire.max_dist (Wire.split n) lsr 2) top;
+      Alcotest.(check int) "claim" 1 (Super_bf.tag Super_bf.claim);
+      Alcotest.(check int) "unclaim" 2 (Super_bf.tag Super_bf.unclaim);
+      List.iter
+        (fun (src, dist) ->
+          let m = Super_bf.update sp ~src ~dist in
+          let name = Printf.sprintf "update (%d, %d)" src dist in
+          Alcotest.(check bool) (name ^ " non-negative") true ((m :> int) >= 0);
+          Alcotest.(check int) (name ^ " tag") 0 (Super_bf.tag m);
+          Alcotest.(check (pair int int))
+            name (src, dist)
+            (Super_bf.update_src sp m, Super_bf.update_dist sp m))
+        [ (n - 1, top); (0, 0); (n - 1, 0); (0, top) ];
+      Alcotest.(check bool) "update overflow raises" true
+        (raises_invalid (fun () -> Super_bf.update sp ~src:0 ~dist:(top + 1))))
+    [ 1; 2; 1 lsl 20 ]
+
+(* Setup's codec frames entries of two physical widths on the wire —
+   candidate floods and their echoes take 2 words, the tree-building
+   and completion waves 1 — so the sharded deliver step must stride
+   each [link; width; words...] entry by its own width. Super-bf mixes
+   2-word and 1-word model charges in one-word entries. Both run
+   through the sharded plane on a 4-domain pool and are pinned,
+   metrics included, to congest. *)
 let test_variable_width_messages () =
   let g = graph 309 80 in
+  Pool.with_pool ~domains:4 @@ fun pool ->
+  let ref_s, ref_sm = Ds_congest.Setup.run ~backend:Plane.Congest g in
+  let s, sm = Ds_congest.Setup.run ~backend:Plane.Sharded ~pool g in
+  Alcotest.(check int) "setup leader" ref_s.Ds_congest.Setup.leader
+    s.Ds_congest.Setup.leader;
+  Alcotest.(check (array int)) "setup parent" ref_s.Ds_congest.Setup.parent
+    s.Ds_congest.Setup.parent;
+  Alcotest.(check bool) "setup children" true
+    (ref_s.Ds_congest.Setup.children = s.Ds_congest.Setup.children);
+  check_metrics_equal "setup" ref_sm sm;
   let sources = [ 0; 40 ] in
   let ref_r, ref_m =
     Ds_congest.Super_bf.run ~backend:Plane.Congest g ~sources
   in
-  Pool.with_pool ~domains:4 @@ fun pool ->
   let r, m = Ds_congest.Super_bf.run ~backend:Plane.Sharded ~pool g ~sources in
   Alcotest.(check (array int)) "dist" ref_r.Ds_congest.Super_bf.dist
     r.Ds_congest.Super_bf.dist;
   Alcotest.(check (array int)) "parent" ref_r.Ds_congest.Super_bf.parent
     r.Ds_congest.Super_bf.parent;
   check_metrics_equal "super-bf" ref_m m
+
+(* The canonical inbox order, observed from inside [on_round]: every
+   inbox a protocol sees lists its senders in strictly ascending
+   neighbor index. Nodes send to a pseudo-random subset of links each
+   round, sometimes twice, so rings back up and inboxes are partial
+   and irregular. *)
+type probe = { mutable ordered : bool; mutable widest : int }
+
+let order_probe ~rounds : (probe, int) Superstep.protocol =
+  let send_some (api : int Superstep.api) r =
+    for i = 0 to api.degree - 1 do
+      let h = Rng.mix ((api.id * 7919) + (r * 104_729) + i) in
+      if h land 3 = 0 then api.send i r;
+      if h land 15 = 1 then api.send i r
+    done
+  in
+  {
+    Superstep.name = "order-probe";
+    max_msg_words = 1;
+    msg_words = (fun _ -> 1);
+    halted = (fun _ -> true);
+    init =
+      (fun api ->
+        send_some api 0;
+        { ordered = true; widest = 0 });
+    on_round =
+      (fun api st inbox ->
+        let len = Superstep.Inbox.length inbox in
+        for i = 1 to len - 1 do
+          if Superstep.Inbox.from inbox (i - 1) >= Superstep.Inbox.from inbox i
+          then st.ordered <- false
+        done;
+        st.widest <- max st.widest len;
+        let r = api.Superstep.round () in
+        if r < rounds then send_some api r);
+  }
+
+let test_canonical_inbox_order () =
+  let check name (r : (probe, int) Plane.exec) =
+    Alcotest.(check bool) (name ^ " inboxes ascending") true
+      (Array.for_all (fun st -> st.ordered) r.Plane.states);
+    Alcotest.(check bool) (name ^ " some inbox holds several") true
+      (Array.exists (fun st -> st.widest >= 3) r.Plane.states)
+  in
+  Pool.with_pool ~domains:2 @@ fun pool ->
+  List.iter
+    (fun seed ->
+      let g = Helpers.random_graph ~seed ~avg_degree:8.0 150 in
+      let proto = order_probe ~rounds:12 in
+      List.iter
+        (fun backend ->
+          check
+            (Printf.sprintf "%s seed %d" (Plane.backend_name backend) seed)
+            (Plane.run ~backend ~pool ~codec:Wire.codec g proto))
+        Plane.backends;
+      let jitter = { Ds_congest.Engine.rng = Rng.create seed; max_delay = 3 } in
+      check
+        (Printf.sprintf "jittered congest seed %d" seed)
+        (Plane.run ~pool ~jitter ~codec:Wire.codec g proto))
+    [ 311; 312; 313 ]
 
 (* The audited word budget of the message-plane backbone (DESIGN.md
    "Sharded build plane"): at most 48 words per directed link plus 32
@@ -180,7 +310,7 @@ let test_memory_budget_at_scale () =
     (fun backend ->
       let r =
         Plane.run ~backend ~pool ~codec:Multi_bf.codec g
-          (Multi_bf.protocol
+          (Multi_bf.protocol ~n
              ~is_source:(fun u -> src_set.(u))
              ~bound:(fun _ -> Ds_graph.Dist.none))
       in
@@ -206,6 +336,10 @@ let suite =
     Alcotest.test_case "shard count invariant" `Quick
       test_shard_count_invariant;
     Alcotest.test_case "multi-bf codec roundtrip" `Quick test_codec_roundtrip;
+    Alcotest.test_case "wire packing extremes" `Quick test_wire_packing_extremes;
+    Alcotest.test_case "super-bf tags decode" `Quick test_super_bf_tags;
+    Alcotest.test_case "canonical inbox order on both backends" `Quick
+      test_canonical_inbox_order;
     Alcotest.test_case "variable-width messages cross-backend" `Quick
       test_variable_width_messages;
     Alcotest.test_case "memory budget at n=1e5" `Slow

@@ -122,13 +122,29 @@ let test_round_limit () =
   let reason = Engine.run ~max_rounds:50 eng in
   Alcotest.(check bool) "limit reached" true (reason = Engine.Round_limit)
 
+(* Minor words per round after 100 warm-up rounds. [Gc.minor_words]
+   returns a boxed float and the box for call [k] is charged to the
+   counter read by call [k+1], so the per-call overhead is measured
+   first and subtracted. *)
+let minor_words_per_round ?(rounds = 1000) step =
+  for _ = 1 to 100 do
+    step ()
+  done;
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  let call_overhead = w1 -. w0 in
+  let a = Gc.minor_words () in
+  for _ = 1 to rounds do
+    step ()
+  done;
+  let b = Gc.minor_words () in
+  (b -. a -. call_overhead) /. float_of_int rounds
+
 (* The message plane's headline claim: once ring/inbox capacities hit
    their high-water mark, a round allocates zero minor words. The
    protocol body uses indexed inbox access (no closure, no iterator)
    and int messages, so any allocation the test sees comes from the
-   engine itself. [Gc.minor_words] returns a boxed float and the box
-   for call [k] is charged to the counter read by call [k+1], so the
-   per-call overhead is measured first and subtracted. *)
+   engine itself. *)
 let test_zero_alloc_steady_state () =
   let g = Graph.of_edges ~n:2 [ (0, 1, 1) ] in
   let proto : (unit, int) Engine.protocol =
@@ -147,20 +163,45 @@ let test_zero_alloc_steady_state () =
     }
   in
   let eng = Engine.create g proto in
-  for _ = 1 to 100 do
-    Engine.step eng
-  done;
-  let w0 = Gc.minor_words () in
-  let w1 = Gc.minor_words () in
-  let call_overhead = w1 -. w0 in
-  let rounds = 1000 in
-  let a = Gc.minor_words () in
-  for _ = 1 to rounds do
-    Engine.step eng
-  done;
-  let b = Gc.minor_words () in
-  let per_round = (b -. a -. call_overhead) /. float_of_int rounds in
-  Alcotest.(check (float 0.0)) "minor words per steady round" 0.0 per_round
+  Alcotest.(check (float 0.0)) "minor words per steady round" 0.0
+    (minor_words_per_round (fun () -> Engine.step eng))
+
+(* A star whose every node sends every round: the hub gathers one slot
+   per leaf into its inbox each round, on both backends (two shards on
+   the sharded one, so messages also cross shards). [widest] records
+   the hub's inbox length, proving several slots were gathered. *)
+let test_zero_alloc_star_both_backends () =
+  let leaves = 16 in
+  let g = Graph.of_edges ~n:(leaves + 1) (List.init leaves (fun i -> (0, i + 1, 1))) in
+  let proto : (int ref, int) Engine.protocol =
+    {
+      Engine.name = "star";
+      max_msg_words = 1;
+      msg_words = (fun _ -> 1);
+      halted = (fun _ -> false);
+      init =
+        (fun api ->
+          api.Engine.broadcast api.Engine.id;
+          ref 0);
+      on_round =
+        (fun api widest inbox ->
+          let len = Engine.Inbox.length inbox in
+          widest := len;
+          if len > 0 then api.Engine.broadcast (Engine.Inbox.msg inbox (len - 1)));
+    }
+  in
+  let eng = Engine.create g proto in
+  Alcotest.(check (float 0.0)) "congest minor words per star round" 0.0
+    (minor_words_per_round (fun () -> Engine.step eng));
+  Alcotest.(check int) "congest hub gathers every leaf" leaves
+    !(Engine.state eng 0);
+  let sh =
+    Ds_congest.Shard_engine.create ~shards:2 ~codec:Ds_congest.Wire.codec g proto
+  in
+  Alcotest.(check (float 0.0)) "sharded minor words per star round" 0.0
+    (minor_words_per_round (fun () -> Ds_congest.Shard_engine.step sh));
+  Alcotest.(check int) "sharded hub gathers every leaf" leaves
+    !(Ds_congest.Shard_engine.state sh 0)
 
 (* The same pin with the metrics plane attached: an instrumented round
    is a handful of extra int-array stores, so steady-state rounds must
@@ -184,21 +225,9 @@ let test_zero_alloc_instrumented_round () =
   in
   let obs = Ds_obs.Obs.create () in
   let eng = Engine.create ~obs g proto in
-  for _ = 1 to 100 do
-    Engine.step eng
-  done;
-  let w0 = Gc.minor_words () in
-  let w1 = Gc.minor_words () in
-  let call_overhead = w1 -. w0 in
   let rounds = 1000 in
-  let a = Gc.minor_words () in
-  for _ = 1 to rounds do
-    Engine.step eng
-  done;
-  let b = Gc.minor_words () in
-  let per_round = (b -. a -. call_overhead) /. float_of_int rounds in
   Alcotest.(check (float 0.0)) "minor words per instrumented round" 0.0
-    per_round;
+    (minor_words_per_round ~rounds (fun () -> Engine.step eng));
   Alcotest.(check bool) "counters advanced" true
     (Ds_obs.Obs.value obs Ds_obs.Obs.Name.engine_deliveries >= rounds)
 
@@ -261,6 +290,8 @@ let suite =
       test_zero_alloc_steady_state;
     Alcotest.test_case "instrumented rounds allocate zero minor words" `Quick
       test_zero_alloc_instrumented_round;
+    Alcotest.test_case "star rounds allocate zero minor words on both backends"
+      `Quick test_zero_alloc_star_both_backends;
     Alcotest.test_case "instrumented serve block allocates zero minor words"
       `Quick test_zero_alloc_instrumented_serve_block;
   ]
