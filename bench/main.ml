@@ -504,42 +504,10 @@ let serve_rows ~quick () =
 
 let now_ns () = Int64.to_float (Mclock.now ())
 
-(* B14: one full distributed TZ build per backend, same graph, same
-   hierarchy — the head-to-head the sharded plane exists for. Directly
-   timed (a build is far past bechamel's sweet spot); best of
-   [passes]. *)
-let backend_build_rows ~quick () =
-  let n = if quick then 1024 else 4096 in
-  let g =
-    Gen.streaming_sparse ~rng:(Rng.create 11) ~n ~avg_degree:6.0 ()
-  in
-  let levels = Levels.sample ~rng:(Rng.create 12) ~n ~k:3 in
-  let domains =
-    match Sys.getenv_opt "DS_DOMAINS" with
-    | Some s -> (try max 1 (int_of_string (String.trim s)) with _ -> 1)
-    | None -> min 4 (Domain.recommended_domain_count ())
-  in
-  let passes = if quick then 1 else 3 in
-  List.map
-    (fun backend ->
-      Pool.with_pool ~domains (fun pool ->
-          let best = ref infinity in
-          for _ = 1 to passes do
-            let t0 = now_ns () in
-            ignore (Ds_core.Tz_distributed.build ~backend ~pool g ~levels);
-            let dt = now_ns () -. t0 in
-            if dt < !best then best := dt
-          done;
-          ( Printf.sprintf "B14 tz-distributed build %s (n=%d,k=3,domains=%d)"
-              (Ds_congest.Plane.backend_name backend)
-              n domains,
-            !best,
-            None )))
-    [ Ds_congest.Plane.Congest; Ds_congest.Plane.Sharded ]
-
-(* B15: the sharded plane at scale-experiment size, one pass, with the
-   peak-RSS delta it cost. The committed SCALE.json covers the full
-   n sweep; this row keeps a scale point inside the bench artifact. *)
+(* B15: a distributed TZ build at scale-experiment size, one pass,
+   directly timed (a build is far past bechamel's sweet spot). The
+   committed SCALE.json covers the full n sweep; this row keeps a scale
+   point inside the bench artifact. *)
 let scale_build_row ~quick () =
   let n = if quick then 20_000 else 100_000 in
   let g =
@@ -554,20 +522,18 @@ let scale_build_row ~quick () =
   in
   Pool.with_pool ~domains (fun pool ->
       let t0 = now_ns () in
-      ignore
-        (Ds_core.Tz_distributed.build ~backend:Ds_congest.Plane.Sharded ~pool
-           g ~levels);
+      ignore (Ds_core.Tz_distributed.build ~pool g ~levels);
       let dt = now_ns () -. t0 in
       [
-        ( Printf.sprintf "B15 sharded tz build at scale (n=%d,k=%d,domains=%d)"
-            n k domains,
+        ( Printf.sprintf "B15 tz build at scale (n=%d,k=%d,domains=%d)" n k
+            domains,
           dt,
           None );
       ])
 
 (* B19/B20/B22: the multi-family platform, one row triple per sketch
    family. B19 is a full distributed build (directly timed, best of
-   passes, like B14); B20 is the serving cost of the resulting
+   passes, like B15); B20 is the serving cost of the resulting
    heap-backed oracle in ns/pair over the flat batch path (the same
    measurement style as B12, one fixed pool width); B22 repeats the
    B20 measurement against a mapped-backing oracle (save -> load
@@ -688,7 +654,7 @@ let family_rows ~quick () =
    The heap leg reads, checksums and copies every section; the mmap
    leg maps the file and validates the header and offset table only,
    so its cost is near-constant in the snapshot size. Built once
-   (sharded backend, scale-experiment shape), saved to a temp file,
+   (scale-experiment shape), saved to a temp file,
    each leg best-of [passes]. *)
 let snapshot_rows ~quick () =
   let n = 100_000 in
@@ -705,10 +671,7 @@ let snapshot_rows ~quick () =
   let passes = if quick then 3 else 5 in
   let labels =
     Pool.with_pool ~domains (fun pool ->
-        let r =
-          Ds_core.Tz_distributed.build ~backend:Ds_congest.Plane.Sharded ~pool
-            g ~levels
-        in
+        let r = Ds_core.Tz_distributed.build ~pool g ~levels in
         r.Ds_core.Tz_distributed.labels)
   in
   let store = Store.of_labels ~seed:23 ~graph_family:"streaming_sparse" labels in
@@ -830,7 +793,6 @@ let run_microbenches ~quick () =
   let b21_rows, snapshot_table = snapshot_rows ~quick () in
   let batch_rows =
     b12_rows
-    @ backend_build_rows ~quick ()
     @ scale_build_row ~quick ()
     @ b16_rows
     @ b19_rows

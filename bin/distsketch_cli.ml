@@ -40,16 +40,29 @@ let family_conv =
   in
   Arg.conv (parse, fun ppf f -> Format.pp_print_string ppf (Gen.family_name f))
 
+(* An int bounded below: an out-of-range value is a usage error (exit
+   124) instead of an exception from deep inside a generator. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= lo -> Ok v
+    | Some v -> Error (`Msg (Printf.sprintf "%d is below the minimum %d" v lo))
+    | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let n_arg =
   Arg.(
-    value & opt int 256
-    & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
+    value & opt (int_at_least 2) 256
+    & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes (at least 2).")
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
 let k_arg =
-  Arg.(value & opt int 3 & info [ "k" ] ~docv:"K" ~doc:"Hierarchy depth k.")
+  Arg.(
+    value & opt (int_at_least 1) 3
+    & info [ "k" ] ~docv:"K" ~doc:"Hierarchy depth k (at least 1).")
 
 let family_arg =
   Arg.(
@@ -73,7 +86,7 @@ let sketch_arg =
           "Sketch family: $(b,tz) (Thorup-Zwick pivots/bunches), \
            $(b,landmark) (Das Sarma random landmarks), $(b,bottomk) \
            (rank-ordered bottom-k all-distance sketches). All three build \
-           on either backend and serve through the same oracle.")
+           on the same engine and serve through the same oracle.")
 
 let domains_arg =
   Arg.(
@@ -81,32 +94,6 @@ let domains_arg =
     & info [ "domains" ] ~docv:"D"
         ~doc:
           "Worker domains for the simulator's round loop (1 = sequential). \
-           Results are identical for every value.")
-
-let backend_conv =
-  let parse s =
-    Result.map_error (fun m -> `Msg m) (Ds_congest.Plane.backend_of_string s)
-  in
-  Arg.conv
-    ( parse,
-      fun ppf b ->
-        Format.pp_print_string ppf (Ds_congest.Plane.backend_name b) )
-
-let backend_arg =
-  Arg.(
-    value & opt backend_conv Ds_congest.Plane.Congest
-    & info [ "backend" ] ~docv:"B"
-        ~doc:
-          "Message plane: $(b,congest) (per-link rings, supports jitter) or \
-           $(b,sharded) (MPC-style bulk exchange, built for n >= 10^5). \
-           Results are byte-identical.")
-
-let shards_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "shards" ] ~docv:"S"
-        ~doc:
-          "Shard count for the sharded backend (default: the pool width). \
            Results are identical for every value.")
 
 (* One pool per command invocation: created before the work, joined
@@ -284,8 +271,7 @@ let build_cmd =
             "Write an obs/1 JSON dump of the build's engine metrics \
              (rounds, deliveries, words, peak backlog) to $(docv).")
   in
-  let run family n seed k mode sketch_family domains backend shards save
-      obs_out =
+  let run family n seed k mode sketch_family domains save obs_out =
     with_domains domains @@ fun pool ->
     let g = make_graph family n seed in
     let gn = Graph.n g in
@@ -318,15 +304,14 @@ let build_cmd =
         None
     | Sketch_family.Tz, `Echo ->
       let levels = Levels.sample ~rng:(Rng.create (seed + 1)) ~n:gn ~k in
-      let r = Ds_core.Tz_echo.build ~backend ~pool ?shards ?obs g ~levels in
+      let r = Ds_core.Tz_echo.build ~pool ?obs g ~levels in
       Format.printf "leader: %d@." r.Ds_core.Tz_echo.leader;
       describe
         (Sketch.of_tz_labels r.Ds_core.Tz_echo.labels)
         (Some r.Ds_core.Tz_echo.metrics)
     | _, `Dist ->
       let r =
-        Sketch_build.run ~backend ~pool ?shards ?obs ~family:sketch_family g
-          ~k ~seed
+        Sketch_build.run ~pool ?obs ~family:sketch_family g ~k ~seed
       in
       describe r.Sketch_build.sketch (Some r.Sketch_build.metrics)
     | _, (`Central | `Echo) ->
@@ -343,7 +328,6 @@ let build_cmd =
           ("sketch_family", Json.String (Sketch_family.name sketch_family));
           ("n", Json.Int gn);
           ("k", Json.Int k);
-          ("backend", Json.String (Ds_congest.Plane.backend_name backend));
           ("domains", Json.Int (Pool.domains pool));
         ]
       in
@@ -357,28 +341,20 @@ let build_cmd =
              graph and report sizes and CONGEST cost.")
     Term.(
       const run $ family_arg $ n_arg $ seed_arg $ k_arg $ mode_arg
-      $ sketch_arg $ domains_arg $ backend_arg $ shards_arg $ save_arg
-      $ obs_out_arg)
+      $ sketch_arg $ domains_arg $ save_arg $ obs_out_arg)
 
 (* ---- scale ---- *)
 
-(* The n = 10^4..10^6 sweep behind SCALE.json: streaming graph
-   construction, full distributed TZ build on the chosen backend(s),
-   honest cost accounting plus process RSS per row. *)
+(* The n sweep behind SCALE.json: streaming graph construction, full
+   distributed TZ build, honest cost accounting plus process RSS per
+   row. *)
 let scale_cmd =
   let ns_arg =
     Arg.(
       value
-      & opt_all int [ 10_000; 100_000 ]
+      & opt_all (int_at_least 2) [ 10_000; 100_000 ]
       & info [ "n"; "nodes" ] ~docv:"N"
-          ~doc:"Node count; repeatable, one sweep row per value.")
-  in
-  let backends_arg =
-    Arg.(
-      value
-      & opt_all backend_conv [ Ds_congest.Plane.Sharded ]
-      & info [ "backend" ] ~docv:"B"
-          ~doc:"Backend to sweep; repeatable (congest, sharded).")
+          ~doc:"Node count (at least 2); repeatable, one sweep row per value.")
   in
   let scale_family_arg =
     Arg.(
@@ -396,7 +372,7 @@ let scale_cmd =
   in
   let k_arg =
     Arg.(
-      value & opt int 0
+      value & opt (int_at_least 0) 0
       & info [ "k" ] ~docv:"K"
           ~doc:
             "Hierarchy depth; 0 (default) picks round(log10 n) per row, \
@@ -424,98 +400,73 @@ let scale_cmd =
              $(docv) MB after any row.")
   in
   let now_ms () = Unix.gettimeofday () *. 1000.0 in
-  let run ns backends family avg_degree k0 seed domains shards out max_words
-      max_rss =
+  let run ns family avg_degree k0 seed domains out max_words max_rss =
     with_domains domains @@ fun pool ->
     let fam = Gen.scale_family_of_string ~avg_degree family in
     let budget_failures = ref [] in
     let rows =
-      List.concat_map
+      List.map
         (fun n ->
-          let g =
-            Gen.build_scale ~rng:(Rng.create seed) fam ~n
-          in
+          let g = Gen.build_scale ~rng:(Rng.create seed) fam ~n in
           let gn = Graph.n g in
           let k =
             if k0 > 0 then k0
-            else
-              max 3
-                (int_of_float (Float.round (log10 (float_of_int gn))))
+            else max 3 (int_of_float (Float.round (log10 (float_of_int gn))))
           in
-          let levels =
-            Levels.sample ~rng:(Rng.create (seed + 1)) ~n:gn ~k
+          let levels = Levels.sample ~rng:(Rng.create (seed + 1)) ~n:gn ~k in
+          let t0 = now_ms () in
+          let r = Ds_core.Tz_distributed.build ~pool g ~levels in
+          let wall_ms = now_ms () -. t0 in
+          let m = r.Ds_core.Tz_distributed.metrics in
+          let mem_words = r.Ds_core.Tz_distributed.mem_words in
+          let words_per_node = float_of_int mem_words /. float_of_int gn in
+          let sketch_words =
+            Array.fold_left
+              (fun acc l -> acc + Label.size_words l)
+              0 r.Ds_core.Tz_distributed.labels
           in
-          List.map
-            (fun backend ->
-              let t0 = now_ms () in
-              let r =
-                Ds_core.Tz_distributed.build ~backend ~pool ?shards g
-                  ~levels
-              in
-              let wall_ms = now_ms () -. t0 in
-              let m = r.Ds_core.Tz_distributed.metrics in
-              let mem_words = r.Ds_core.Tz_distributed.mem_words in
-              let words_per_node =
-                float_of_int mem_words /. float_of_int gn
-              in
-              let sketch_words =
-                Array.fold_left
-                  (fun acc l -> acc + Label.size_words l)
-                  0 r.Ds_core.Tz_distributed.labels
-              in
-              let rss = Ds_util.Mem.rss_kb ()
-              and hwm = Ds_util.Mem.hwm_kb () in
-              let bname = Ds_congest.Plane.backend_name backend in
-              Printf.printf
-                "n=%-8d %-7s k=%d  %6d rounds  %12d words  %8.0f ms  \
-                 %5.1f plane words/node  rss %s kB\n%!"
-                gn bname k (Metrics.rounds m) (Metrics.words m) wall_ms
-                words_per_node
-                (match rss with Some v -> string_of_int v | None -> "?");
-              (match max_words with
-              | Some limit when words_per_node > float_of_int limit ->
-                budget_failures :=
-                  Printf.sprintf
-                    "n=%d %s: %.1f plane words/node exceeds budget %d" gn
-                    bname words_per_node limit
-                  :: !budget_failures
-              | _ -> ());
-              (match (max_rss, hwm) with
-              | Some limit, Some kb when kb > limit * 1024 ->
-                budget_failures :=
-                  Printf.sprintf "n=%d %s: peak RSS %d kB exceeds %d MB" gn
-                    bname kb limit
-                  :: !budget_failures
-              | _ -> ());
-              Json.Obj
-                [
-                  ("n", Json.Int gn);
-                  ("m", Json.Int (Graph.m g));
-                  ("k", Json.Int k);
-                  ("family", Json.String (Gen.scale_family_name fam));
-                  ("backend", Json.String bname);
-                  ("domains", Json.Int domains);
-                  ( "shards",
-                    match shards with
-                    | Some s -> Json.Int s
-                    | None -> Json.Int domains );
-                  ("rounds", Json.Int (Metrics.rounds m));
-                  ("messages", Json.Int (Metrics.messages m));
-                  ("words", Json.Int (Metrics.words m));
-                  ("max_link_backlog", Json.Int (Metrics.max_link_backlog m));
-                  ("max_pending", Json.Int r.Ds_core.Tz_distributed.max_pending);
-                  ("wall_ms", Json.Float wall_ms);
-                  ("plane_mem_words", Json.Int mem_words);
-                  ("plane_words_per_node", Json.Float words_per_node);
-                  ("sketch_words", Json.Int sketch_words);
-                  ( "rss_kb",
-                    match rss with Some v -> Json.Int v | None -> Json.Null );
-                  ( "hwm_kb",
-                    match hwm with Some v -> Json.Int v | None -> Json.Null );
-                  ("heap_words", Json.Int (Ds_util.Mem.heap_words ()));
-                  ("seed", Json.Int seed);
-                ])
-            backends)
+          let rss = Ds_util.Mem.rss_kb () and hwm = Ds_util.Mem.hwm_kb () in
+          Printf.printf
+            "n=%-8d k=%d  %6d rounds  %12d words  %8.0f ms  %5.1f plane \
+             words/node  rss %s kB\n%!"
+            gn k (Metrics.rounds m) (Metrics.words m) wall_ms words_per_node
+            (match rss with Some v -> string_of_int v | None -> "?");
+          (match max_words with
+          | Some limit when words_per_node > float_of_int limit ->
+            budget_failures :=
+              Printf.sprintf "n=%d: %.1f plane words/node exceeds budget %d"
+                gn words_per_node limit
+              :: !budget_failures
+          | _ -> ());
+          (match (max_rss, hwm) with
+          | Some limit, Some kb when kb > limit * 1024 ->
+            budget_failures :=
+              Printf.sprintf "n=%d: peak RSS %d kB exceeds %d MB" gn kb limit
+              :: !budget_failures
+          | _ -> ());
+          Json.Obj
+            [
+              ("n", Json.Int gn);
+              ("m", Json.Int (Graph.m g));
+              ("k", Json.Int k);
+              ("family", Json.String (Gen.scale_family_name fam));
+              ("domains", Json.Int domains);
+              ("rounds", Json.Int (Metrics.rounds m));
+              ("messages", Json.Int (Metrics.messages m));
+              ("words", Json.Int (Metrics.words m));
+              ("max_link_backlog", Json.Int (Metrics.max_link_backlog m));
+              ("max_pending", Json.Int r.Ds_core.Tz_distributed.max_pending);
+              ("wall_ms", Json.Float wall_ms);
+              ("plane_mem_words", Json.Int mem_words);
+              ("plane_words_per_node", Json.Float words_per_node);
+              ("sketch_words", Json.Int sketch_words);
+              ( "rss_kb",
+                match rss with Some v -> Json.Int v | None -> Json.Null );
+              ( "hwm_kb",
+                match hwm with Some v -> Json.Int v | None -> Json.Null );
+              ("heap_words", Json.Int (Ds_util.Mem.heap_words ()));
+              ("seed", Json.Int seed);
+            ])
         ns
     in
     let doc =
@@ -537,13 +488,11 @@ let scale_cmd =
     (Cmd.info "scale"
        ~doc:
          "Sweep full sketch builds over n (streaming generators, unit \
-          weights) on one or both message planes and write a JSON table of \
-          rounds, words, wall-clock and RSS per row; optional memory-budget \
-          assertions for CI.")
+          weights) and write a JSON table of rounds, words, wall-clock and \
+          RSS per row; optional memory-budget assertions for CI.")
     Term.(
-      const run $ ns_arg $ backends_arg $ scale_family_arg $ avg_degree_arg
-      $ k_arg $ seed_arg $ domains_arg $ shards_arg $ out_arg $ max_words_arg
-      $ max_rss_arg)
+      const run $ ns_arg $ scale_family_arg $ avg_degree_arg $ k_arg
+      $ seed_arg $ domains_arg $ out_arg $ max_words_arg $ max_rss_arg)
 
 (* ---- trace ---- *)
 

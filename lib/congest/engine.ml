@@ -3,9 +3,9 @@ module Pool = Ds_parallel.Pool
 module Rng = Ds_util.Rng
 module Ivec = Ds_util.Ivec
 
-(* The node-facing types are owned by [Superstep] — the contract both
-   this backend and [Shard_engine] implement — and re-exported here
-   with equations so existing [Engine.foo] references keep working. *)
+(* The node-facing types are owned by [Superstep], which [Slots]
+   shares without depending on the engine, and re-exported here with
+   equations so protocols can name them as [Engine.foo]. *)
 type 'msg api = 'msg Superstep.api = {
   id : int;
   degree : int;
@@ -33,6 +33,31 @@ type stop_reason = Superstep.stop_reason =
   | Round_limit
 
 type jitter = { rng : Rng.t; max_delay : int }
+
+(* The [engine.*] obs instruments, resolved once at creation; every hot
+   site then gates on one immutable option match, exactly the
+   [?tracer] discipline. *)
+module Obs_hooks = struct
+  module Obs = Ds_obs.Obs
+
+  type t = {
+    rounds : Obs.counter;
+    deliveries : Obs.counter;
+    words : Obs.counter;
+    backlog : Obs.gauge;
+    busy : Obs.gauge;
+  }
+
+  let of_opt =
+    Option.map (fun registry ->
+        {
+          rounds = Obs.counter registry Obs.Name.engine_rounds;
+          deliveries = Obs.counter registry Obs.Name.engine_deliveries;
+          words = Obs.counter registry Obs.Name.engine_words;
+          backlog = Obs.gauge registry Obs.Name.engine_backlog;
+          busy = Obs.gauge registry Obs.Name.engine_busy_domains;
+        })
+end
 
 (* Links are flattened: directed link [offsets.(u) + i] is u's i-th
    outgoing edge. Each link's FIFO is a growable ring: a power-of-two
@@ -114,7 +139,6 @@ type ('state, 'msg) t = {
   mutable round_backlog : int; (* traced: max link backlog this round *)
 }
 
-let graph t = t.graph
 let metrics t = t.metrics
 let states t = t.node_states
 let state t u = t.node_states.(u)
@@ -530,7 +554,6 @@ let step t =
         busy_domains = Pool.chunks_for t.pool ran;
       }
 
-let quiescent t = t.in_flight = 0
 let all_halted t = Array.for_all t.protocol.halted t.node_states
 
 (* Backbone footprint in machine words: every flat int array, ring
@@ -587,3 +610,15 @@ let run ?(max_rounds = 10_000_000) t =
     end
   in
   go ()
+
+type ('state, 'msg) exec = {
+  states : 'state array;
+  metrics : Metrics.t;
+  stop : stop_reason;
+  mem_words : int;
+}
+
+let execute ?pool ?jitter ?tracer ?obs ?max_rounds g protocol =
+  let t = create ?pool ?jitter ?tracer ?obs g protocol in
+  let stop = run ?max_rounds t in
+  { states = t.node_states; metrics = t.metrics; stop; mem_words = mem_words t }

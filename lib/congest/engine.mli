@@ -72,13 +72,13 @@ val create :
     [tracer] turns on per-round telemetry (see {!Trace}); one tracer
     may be shared by consecutive engines to trace a composed run.
     Without it the engine takes no timestamps and records nothing.
-    [obs] registers the [engine.*] metrics (rounds, deliveries,
-    words, peak backlog, busy domains — see {!Obs_hooks}) and updates
-    them as the run progresses; like the tracer it is zero-cost when
+    [obs] registers the [engine.*] metrics ({!Ds_obs.Obs.Name}:
+    charged rounds — the uncharged quiescence probe is taken back, as
+    in {!Metrics} — deliveries, words, peak backlog, busy domains) and
+    updates them as the run progresses; like the tracer it is zero-cost when
     absent and adds no clock reads or allocation when present, so
     instrumented rounds stay zero-alloc. *)
 
-val graph : ('state, 'msg) t -> Ds_graph.Graph.t
 val metrics : ('state, 'msg) t -> Metrics.t
 val states : ('state, 'msg) t -> 'state array
 val state : ('state, 'msg) t -> int -> 'state
@@ -96,9 +96,6 @@ val run : ?max_rounds:int -> ('state, 'msg) t -> stop_reason
     (quiescence), every node reports [halted], or the round limit is
     hit (default 10 million — a bug guard, not a tuning knob). *)
 
-val quiescent : ('state, 'msg) t -> bool
-(** No queued or in-flight messages. *)
-
 val par_threshold : int
 (** Active-link count above which delivery is fanned over the pool
     (below it the bucket loop runs inline on the caller — quiet rounds
@@ -111,3 +108,17 @@ val mem_words : ('state, 'msg) t -> int
     capacities, delivery slots, inboxes, worklists and membership
     flags — everything the plane owns, at its current high-water
     capacity. Protocol state is not counted. *)
+
+type ('state, 'msg) exec = {
+  states : 'state array;  (** final per-node protocol states *)
+  metrics : Metrics.t;  (** rounds/messages/words accounting *)
+  stop : stop_reason;  (** why the run ended *)
+  mem_words : int;  (** plane backbone footprint at completion *)
+}
+
+val execute :
+  ?pool:Ds_parallel.Pool.t -> ?jitter:jitter -> ?tracer:Trace.t ->
+  ?obs:Ds_obs.Obs.t -> ?max_rounds:int -> Ds_graph.Graph.t ->
+  ('state, 'msg) protocol -> ('state, 'msg) exec
+(** One protocol run to completion: {!create}, then {!run}. This is
+    the entry point every protocol's [run]/[build] wrapper calls. *)

@@ -181,19 +181,17 @@ let found_with_parents st =
 
 let max_pending st = st.max_pending
 
-let codec = Wire.codec
-
-let run ?backend ?pool ?shards ?tracer ?obs g ~sources ~bound =
+let run ?pool ?tracer ?obs g ~sources ~bound =
   let n = Graph.n g in
   let src_set = Array.make n false in
   List.iter (fun s -> src_set.(s) <- true) sources;
   let r =
-    Plane.run ?backend ?pool ?shards ?tracer ?obs ~codec g
+    Engine.execute ?pool ?tracer ?obs g
       (protocol ~n ~is_source:(fun u -> src_set.(u)) ~bound)
   in
-  (match r.Plane.stop with
+  (match r.Engine.stop with
   | Quiescent | All_halted -> ()
   | Round_limit -> failwith "Multi_bf: round limit hit");
-  let m = r.Plane.metrics in
+  let m = r.Engine.metrics in
   Metrics.mark_phase m "multi-bf";
-  (Array.map found r.Plane.states, m)
+  (Array.map found r.Engine.states, m)

@@ -45,14 +45,8 @@ val max_pending : state -> int
 (** High-water mark of the pending-source FIFO (the quantity Lemma 3.7
     bounds by [O(n^{1/k} log n)]). *)
 
-val codec : int Superstep.codec
-(** Wire codec for the packed [(source, distance)] announcements: one
-    wire word each ({!Wire.codec}). *)
-
 val run :
-  ?backend:Plane.backend -> ?pool:Ds_parallel.Pool.t -> ?shards:int ->
-  ?tracer:Trace.t -> ?obs:Ds_obs.Obs.t -> Ds_graph.Graph.t ->
-  sources:int list -> bound:(int -> int * int) ->
+  ?pool:Ds_parallel.Pool.t -> ?tracer:Trace.t -> ?obs:Ds_obs.Obs.t ->
+  Ds_graph.Graph.t -> sources:int list -> bound:(int -> int * int) ->
   (int * int) list array * Metrics.t
-(** One-shot convenience wrapper; runs on either backend (identical
-    results — see {!Plane}). *)
+(** One-shot convenience wrapper over {!Engine.execute}. *)

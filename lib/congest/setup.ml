@@ -119,41 +119,12 @@ type result = {
   children : int list array;
 }
 
-let codec =
-  let open Ds_util in
-  {
-    Superstep.encode =
-      (fun b m ->
-        match m with
-        | Cand c ->
-          Ivec.push b 0;
-          Ivec.push b c
-        | Cand_echo c ->
-          Ivec.push b 1;
-          Ivec.push b c
-        | Build -> Ivec.push b 2
-        | Build_claim -> Ivec.push b 3
-        | Build_echo -> Ivec.push b 4
-        | Done -> Ivec.push b 5);
-    decode =
-      (fun w o ->
-        match Ivec.get w o with
-        | 0 -> Cand (Ivec.get w (o + 1))
-        | 1 -> Cand_echo (Ivec.get w (o + 1))
-        | 2 -> Build
-        | 3 -> Build_claim
-        | 4 -> Build_echo
-        | _ -> Done);
-  }
-
-let run ?backend ?pool ?shards ?jitter ?tracer ?obs g =
-  let r =
-    Plane.run ?backend ?pool ?shards ?jitter ?tracer ?obs ~codec g (protocol ())
-  in
-  (match r.Plane.stop with
+let run ?pool ?jitter ?tracer ?obs g =
+  let r = Engine.execute ?pool ?jitter ?tracer ?obs g (protocol ()) in
+  (match r.Engine.stop with
   | All_halted | Quiescent -> ()
   | Round_limit -> failwith "Setup: round limit hit");
-  let states = r.Plane.states in
+  let states = r.Engine.states in
   let leader =
     match Array.find_opt (fun st -> st.is_leader) states with
     | Some st -> st.id
@@ -176,6 +147,6 @@ let run ?backend ?pool ?shards ?jitter ?tracer ?obs g =
         !acc)
       states
   in
-  let m = r.Plane.metrics in
+  let m = r.Engine.metrics in
   Metrics.mark_phase m "setup";
   ({ leader; parent; children }, m)

@@ -16,9 +16,8 @@ type result = {
 }
 
 val run :
-  ?backend:Plane.backend -> ?pool:Ds_parallel.Pool.t -> ?shards:int ->
-  ?jitter:Engine.jitter -> ?tracer:Trace.t -> ?obs:Ds_obs.Obs.t ->
-  Ds_graph.Graph.t -> result * Metrics.t
+  ?pool:Ds_parallel.Pool.t -> ?jitter:Engine.jitter -> ?tracer:Trace.t ->
+  ?obs:Ds_obs.Obs.t -> Ds_graph.Graph.t -> result * Metrics.t
 (** Under link asynchrony ([jitter]) the elected leader and the
     spanning tree remain correct, but the tree is no longer a BFS tree
     (parents are first-arrival, not fewest-hops). *)

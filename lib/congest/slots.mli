@@ -1,4 +1,4 @@
-(** Slot-indexed delivery, shared by both backends.
+(** Slot-indexed delivery for {!Engine}.
 
     Node [v]'s incoming links own the slot range
     [\[offsets.(v), offsets.(v+1))]: slot [offsets.(v) + i] holds the

@@ -84,20 +84,18 @@ type result = {
   children : int list array;
 }
 
-let codec = Wire.codec
-
-let run ?backend ?pool ?shards ?jitter ?tracer ?obs g ~sources =
+let run ?pool ?jitter ?tracer ?obs g ~sources =
   let n = Graph.n g in
   let src_set = Array.make n false in
   List.iter (fun s -> src_set.(s) <- true) sources;
   let r =
-    Plane.run ?backend ?pool ?shards ?jitter ?tracer ?obs ~codec g
+    Engine.execute ?pool ?jitter ?tracer ?obs g
       (protocol ~n ~is_source:(fun u -> src_set.(u)))
   in
-  (match r.Plane.stop with
+  (match r.Engine.stop with
   | Quiescent | All_halted -> ()
   | Round_limit -> failwith "Super_bf: round limit hit");
-  let states = r.Plane.states in
+  let states = r.Engine.states in
   let dist = Array.map (fun st -> st.best_dist) states in
   let nearest =
     Array.map (fun st -> if st.best_src = max_int then -1 else st.best_src) states
@@ -119,7 +117,7 @@ let run ?backend ?pool ?shards ?jitter ?tracer ?obs g ~sources =
         !acc)
       states
   in
-  let m = r.Plane.metrics in
+  let m = r.Engine.metrics in
   Metrics.mark_phase m "super-bf";
   ({ dist; nearest; parent; children }, m)
 

@@ -40,16 +40,12 @@ val update_src : Wire.split -> msg -> int
 val update_dist : Wire.split -> msg -> int
 (** The distance of an update (tag [0]). *)
 
-val codec : msg Superstep.codec
-(** One wire word per message ({!Wire.codec}). *)
-
 val run :
-  ?backend:Plane.backend -> ?pool:Ds_parallel.Pool.t -> ?shards:int ->
-  ?jitter:Engine.jitter -> ?tracer:Trace.t -> ?obs:Ds_obs.Obs.t ->
-  Ds_graph.Graph.t -> sources:int list -> result * Metrics.t
+  ?pool:Ds_parallel.Pool.t -> ?jitter:Engine.jitter -> ?tracer:Trace.t ->
+  ?obs:Ds_obs.Obs.t -> Ds_graph.Graph.t -> sources:int list ->
+  result * Metrics.t
 (** Bellman–Ford is self-stabilising to link delays, so the result is
-    exact under [jitter] too ([jitter] requires the congest
-    backend). *)
+    exact under [jitter] too. *)
 
 val single_source :
   ?pool:Ds_parallel.Pool.t -> Ds_graph.Graph.t -> src:int ->

@@ -1,11 +1,6 @@
-(* The transport-neutral superstep interface: everything a protocol
-   needs from a message plane (the node-facing [api], the per-round
-   [Inbox], the [protocol] record) plus the wire [codec] a bulk
-   backend needs to move messages as flat words. [Engine] (per-link
-   CONGEST rings) and [Shard_engine] (MPC-style bulk exchange) both
-   implement this contract; [Plane] picks between them. *)
-
-module Ivec = Ds_util.Ivec
+(* The node-facing superstep types: the [api] a node sees, the
+   per-round [Inbox] and the [protocol] record. [Engine] executes
+   them; [Slots] fills inboxes without depending on the engine. *)
 
 type 'msg api = {
   id : int;
@@ -85,14 +80,3 @@ type ('state, 'msg) protocol = {
 }
 
 type stop_reason = Quiescent | All_halted | Round_limit
-
-(* Flat-word serialisation for bulk exchange. [encode] appends the
-   message's words to the buffer; [decode buf off] rebuilds the
-   message starting at [off]. The encoded width is whatever [encode]
-   pushed (a backend frames each entry with its width) — it may differ
-   from [protocol.msg_words], which stays the model-level accounting
-   charge. *)
-type 'msg codec = {
-  encode : Ivec.t -> 'msg -> unit;
-  decode : Ivec.t -> int -> 'msg;
-}

@@ -1,23 +1,15 @@
-(** The backend-neutral superstep transport contract.
+(** The node-facing superstep types.
 
-    A message plane executes a protocol in synchronous supersteps:
-    in each round every node may {i send} one message per incident
-    link, the plane {i delivers} last round's messages to their
-    receivers, and the {i active set} — last round's senders, this
-    round's receivers, or everyone on a probe round — runs
-    [on_round]. Two backends implement the contract:
+    {!Engine} executes a protocol in synchronous supersteps: in each
+    round every node may {i send} one message per incident link, the
+    engine {i delivers} last round's messages to their receivers, and
+    the {i active set} — last round's senders, this round's receivers,
+    or everyone on a probe round — runs [on_round].
 
-    - {!Engine}: per-link FIFO ring delivery (the faithful CONGEST
-      simulator, one message moved at a time);
-    - {!Shard_engine}: MPC-style bulk exchange (nodes partitioned
-      into contiguous shards, each round's messages shipped between
-      shards as flat word batches).
-
-    This module owns the types both backends share, so a protocol
-    written against it runs unchanged on either; {!Plane} selects the
-    backend at run time. Both backends deliver every inbox in the
+    This module owns the types protocols and {!Slots} share, so slot
+    delivery does not depend on the engine. Every inbox arrives in the
     canonical order below, which is what pins sketches, metrics and
-    round counts byte-identical across backends and pool sizes. *)
+    round counts byte-identical across pool sizes. *)
 
 type 'msg api = {
   id : int;  (** this node's ID *)
@@ -32,9 +24,9 @@ type 'msg api = {
 (** A node's inbox for one round, as [(neighbor index, message)]
     pairs. Delivery order is canonical: ascending sender neighbor
     index (unique per round, since the wire discipline admits at most
-    one message per link per round). Backends deliver each message
-    into a slot indexed by its link ({!Slots}) and read a node's slots
-    in slot order, which is this order, so no backend sorts. The
+    one message per link per round). The engine delivers each message
+    into a slot indexed by its link ({!Slots}) and reads a node's
+    slots in slot order, which is this order, so nothing sorts. The
     buffer is shared: one per pool chunk, refilled for each node just
     before its [on_round] and cleared right after. It is therefore
     only valid during the [on_round] call it was passed to; copy out
@@ -43,7 +35,7 @@ module Inbox : sig
   type 'msg t
 
   val create : unit -> 'msg t
-  (** An empty inbox; backends make one per pool chunk and reuse it. *)
+  (** An empty inbox; the engine makes one per pool chunk and reuses it. *)
 
   val length : 'msg t -> int
   (** Deliveries in this round's inbox. *)
@@ -64,10 +56,10 @@ module Inbox : sig
   val fold : ('a -> int -> 'msg -> 'a) -> 'a -> 'msg t -> 'a
   val to_list : 'msg t -> (int * 'msg) list
 
-  (** The remaining operations are for backends, not protocols. *)
+  (** The remaining operations are for the engine, not protocols. *)
 
   val push : 'msg t -> int -> 'msg -> unit
-  (** Append one delivery (backend-side; grows the buffer as needed). *)
+  (** Append one delivery (engine-side; grows the buffer as needed). *)
 
   val clear : 'msg t -> unit
   (** Forget the deliveries, keep the capacity. *)
@@ -93,14 +85,3 @@ type stop_reason = Quiescent | All_halted | Round_limit
 (** Why a run ended: no message in flight and none sent ([Quiescent]),
     every node's [halted] predicate true ([All_halted]), or the
     caller's [max_rounds] cap reached ([Round_limit]). *)
-
-type 'msg codec = {
-  encode : Ds_util.Ivec.t -> 'msg -> unit;
-      (** Append the message's encoded words to the buffer. *)
-  decode : Ds_util.Ivec.t -> int -> 'msg;
-      (** Rebuild the message starting at the given offset. *)
-}
-(** Flat-word serialisation for bulk backends. The encoded width is
-    whatever [encode] pushes (each batch entry is framed with its
-    width); it may differ from [protocol.msg_words], which remains
-    the model-level accounting charge. *)

@@ -19,5 +19,3 @@ let pack s ~src ~dist =
 
 let src s w = w land ((1 lsl s.src_bits) - 1)
 let dist s w = w lsr s.src_bits
-
-let codec = { Superstep.encode = Ds_util.Ivec.push; decode = Ds_util.Ivec.get }

@@ -31,6 +31,3 @@ val src : split -> int -> int
 
 val dist : split -> int -> int
 (** The distance field of a packed word. *)
-
-val codec : int Superstep.codec
-(** Ships a packed word as a single wire word. *)

@@ -49,21 +49,19 @@ let assemble ?received ~labels ~nearest ~nearest_dist n =
         own_label = labels.(u);
       })
 
-let build_distributed ?backend ?pool ?shards ~rng g ~eps ~k =
+let build_distributed ?pool ~rng g ~eps ~k =
   let n = Graph.n g in
   let net = Density_net.sample ~rng ~n ~eps in
   let prob = net_sampling_probability ~n ~eps ~k in
   let net_levels = Levels.sample_subset ~rng ~n ~k ~subset:net ~prob in
   (* Step 1: every node learns its nearest net node (and the cell
      forest used later to ship labels). *)
-  let forest, bf_metrics = Super_bf.run ?backend ?pool ?shards g ~sources:net in
+  let forest, bf_metrics = Super_bf.run ?pool g ~sources:net in
   (* Step 2: Algorithm 2 over the net hierarchy. *)
-  let tz = Tz_distributed.build ?backend ?pool ?shards g ~levels:net_levels in
+  let tz = Tz_distributed.build ?pool g ~levels:net_levels in
   (* Step 3: ship L(u') down each cell, as actual words on the wire. *)
   let payload w = Label.to_words tz.Tz_distributed.labels.(w) in
-  let received, transfer_metrics =
-    Cell_cast.run ?backend ?pool ?shards g ~forest ~payload
-  in
+  let received, transfer_metrics = Cell_cast.run ?pool g ~forest ~payload in
   let sketches =
     assemble ~received ~labels:tz.Tz_distributed.labels
       ~nearest:forest.Super_bf.nearest ~nearest_dist:forest.Super_bf.dist n

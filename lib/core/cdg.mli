@@ -43,8 +43,7 @@ val net_sampling_probability : n:int -> eps:float -> k:int -> float
     [((10/ε) ln n)^{-1/k}]. *)
 
 val build_distributed :
-  ?backend:Ds_congest.Plane.backend -> ?pool:Ds_parallel.Pool.t ->
-  ?shards:int -> rng:Ds_util.Rng.t -> Ds_graph.Graph.t ->
+  ?pool:Ds_parallel.Pool.t -> rng:Ds_util.Rng.t -> Ds_graph.Graph.t ->
   eps:float -> k:int -> result
 (** The full pipeline with honest CONGEST accounting: net sampling,
     super-source Bellman–Ford, Algorithm 2 on the net hierarchy, and

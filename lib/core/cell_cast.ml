@@ -1,7 +1,5 @@
 module Graph = Ds_graph.Graph
 module Engine = Ds_congest.Engine
-module Plane = Ds_congest.Plane
-module Superstep = Ds_congest.Superstep
 module Super_bf = Ds_congest.Super_bf
 
 type msg = Chunk of int * int
@@ -61,21 +59,9 @@ let protocol ~forest ~payload : (state, msg) Engine.protocol =
         emit api st);
   }
 
-let codec =
-  let open Ds_util in
-  {
-    Superstep.encode =
-      (fun b (Chunk (a, c)) ->
-        Ivec.push b a;
-        Ivec.push b c);
-    decode = (fun w o -> Chunk (Ivec.get w o, Ivec.get w (o + 1)));
-  }
-
-let run ?backend ?pool ?shards g ~forest ~payload =
-  let r =
-    Plane.run ?backend ?pool ?shards ~codec g (protocol ~forest ~payload)
-  in
-  (match r.Plane.stop with
+let run ?pool g ~forest ~payload =
+  let r = Engine.execute ?pool g (protocol ~forest ~payload) in
+  (match r.Engine.stop with
   | Quiescent | All_halted -> ()
   | Round_limit -> failwith "Cell_cast: round limit hit");
   let received =
@@ -83,8 +69,8 @@ let run ?backend ?pool ?shards g ~forest ~payload =
       (fun u st ->
         if forest.Super_bf.parent.(u) < 0 then payload u
         else Array.of_list (List.rev st.received))
-      r.Plane.states
+      r.Engine.states
   in
-  let m = r.Plane.metrics in
+  let m = r.Engine.metrics in
   Ds_congest.Metrics.mark_phase m "cell-cast";
   (received, m)

@@ -12,8 +12,7 @@
     deserializes). *)
 
 val run :
-  ?backend:Ds_congest.Plane.backend -> ?pool:Ds_parallel.Pool.t ->
-  ?shards:int -> Ds_graph.Graph.t ->
+  ?pool:Ds_parallel.Pool.t -> Ds_graph.Graph.t ->
   forest:Ds_congest.Super_bf.result -> payload:(int -> (int * int) array) ->
   (int * int) array array * Ds_congest.Metrics.t
 (** [run g ~forest ~payload] streams [payload w] from every forest

@@ -91,15 +91,15 @@ type result = {
 
 let query ?pool g ~tree ~labels ~u ~v =
   let chunks = (Label.size_words labels.(v) + 1) / 2 in
-  let eng =
-    Engine.create ?pool g (protocol ~tree ~label_chunks:chunks ~u ~v)
+  let r =
+    Engine.execute ?pool g (protocol ~tree ~label_chunks:chunks ~u ~v)
   in
-  (match Engine.run eng with
+  (match r.Engine.stop with
   | Engine.Quiescent | Engine.All_halted -> ()
   | Engine.Round_limit -> failwith "Query_protocol: round limit hit");
-  let st = Engine.state eng u in
-  if not st.received_last then failwith "Query_protocol: stream never arrived";
-  let m = Engine.metrics eng in
+  if not r.Engine.states.(u).received_last then
+    failwith "Query_protocol: stream never arrived";
+  let m = r.Engine.metrics in
   {
     estimate = (if u = v then 0 else Label.query labels.(u) labels.(v));
     rounds = Metrics.rounds m;

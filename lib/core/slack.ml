@@ -39,12 +39,11 @@ let sketch_of_found owner found =
   Array.sort compare entries;
   { owner; entries }
 
-let build_distributed ?backend ?pool ?shards ~rng g ~eps =
+let build_distributed ?pool ~rng g ~eps =
   let n = Graph.n g in
   let net = Density_net.sample ~rng ~n ~eps in
   let found, metrics =
-    Multi_bf.run ?backend ?pool ?shards g ~sources:net
-      ~bound:(fun _ -> Dist.none)
+    Multi_bf.run ?pool g ~sources:net ~bound:(fun _ -> Dist.none)
   in
   let sketches = Array.mapi sketch_of_found found in
   { sketches; net; metrics }

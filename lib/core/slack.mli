@@ -25,8 +25,7 @@ type result = {
 }
 
 val build_distributed :
-  ?backend:Ds_congest.Plane.backend -> ?pool:Ds_parallel.Pool.t ->
-  ?shards:int -> rng:Ds_util.Rng.t -> Ds_graph.Graph.t ->
+  ?pool:Ds_parallel.Pool.t -> rng:Ds_util.Rng.t -> Ds_graph.Graph.t ->
   eps:float -> result
 (** Samples the ε-density net locally, then one multi-source
     Bellman–Ford from the whole net; [metrics] is the full CONGEST

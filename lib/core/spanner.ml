@@ -49,11 +49,11 @@ let of_distributed ?pool g ~levels =
         ~is_source:(fun u -> Levels.level levels u = i)
         ~bound:(fun u -> pivot.(u))
     in
-    let eng = Engine.create ?pool g proto in
-    (match Engine.run eng with
+    let r = Engine.execute ?pool g proto in
+    (match r.Engine.stop with
     | Engine.Quiescent | Engine.All_halted -> ()
     | Engine.Round_limit -> failwith "Spanner.of_distributed: round limit");
-    phase_metrics := Engine.metrics eng :: !phase_metrics;
+    phase_metrics := r.Engine.metrics :: !phase_metrics;
     Array.iteri
       (fun u st ->
         let best = ref pivot.(u) in
@@ -66,7 +66,7 @@ let of_distributed ?pool g ~levels =
             if Dist.lex_lt (dist, src) !best then best := (dist, src))
           (Multi_bf.found_with_parents st);
         pivot.(u) <- !best)
-      (Engine.states eng)
+      r.Engine.states
   done;
   let metrics =
     List.fold_left Metrics.add (Metrics.create ()) (List.rev !phase_metrics)

@@ -1,7 +1,6 @@
 module Graph = Ds_graph.Graph
 module Dist = Ds_graph.Dist
 module Engine = Ds_congest.Engine
-module Plane = Ds_congest.Plane
 module Metrics = Ds_congest.Metrics
 module Multi_bf = Ds_congest.Multi_bf
 
@@ -12,7 +11,7 @@ type result = {
   mem_words : int;
 }
 
-let build ?backend ?pool ?shards ?tracer ?obs g ~levels =
+let build ?pool ?tracer ?obs g ~levels =
   let n = Graph.n g in
   let k = Levels.k levels in
   let labels = Array.init n (fun u -> Label.create ~owner:u ~k) in
@@ -28,15 +27,12 @@ let build ?backend ?pool ?shards ?tracer ?obs g ~levels =
         ~is_source:(fun u -> Levels.level levels u = i)
         ~bound:(fun u -> pivot.(u))
     in
-    let r =
-      Plane.run ?backend ?pool ?shards ?tracer ?obs ~codec:Multi_bf.codec g
-        proto
-    in
-    (match r.Plane.stop with
+    let r = Engine.execute ?pool ?tracer ?obs g proto in
+    (match r.Engine.stop with
     | Quiescent | All_halted -> ()
     | Round_limit -> failwith "Tz_distributed: round limit hit");
-    let m = r.Plane.metrics in
-    mem_words := max !mem_words r.Plane.mem_words;
+    let m = r.Engine.metrics in
+    mem_words := max !mem_words r.Engine.mem_words;
     Metrics.mark_phase m (Printf.sprintf "phase-%d" i);
     phase_metrics := m :: !phase_metrics;
     (* Fold this phase into the labels and lower the pivots. *)
@@ -53,7 +49,7 @@ let build ?backend ?pool ?shards ?tracer ?obs g ~levels =
         let d, p = !best in
         if Dist.is_finite d then
           Label.set_pivot labels.(u) ~level:i ~dist:d ~node:p)
-      r.Plane.states
+      r.Engine.states
   done;
   let metrics =
     List.fold_left Metrics.add (Metrics.create ()) (List.rev !phase_metrics)

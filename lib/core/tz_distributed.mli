@@ -17,15 +17,14 @@ type result = {
       (** largest per-node send-queue backlog observed across all
           phases — the quantity Lemma 3.7 bounds by [O(n^{1/k} log n)] *)
   mem_words : int;
-      (** largest {!Ds_congest.Plane.exec.mem_words} over the phases —
+      (** largest {!Ds_congest.Engine.exec.mem_words} over the phases —
           the peak message-plane backbone footprint, what the scale
           experiment's per-node word budget audits *)
 }
 
 val build :
-  ?backend:Ds_congest.Plane.backend -> ?pool:Ds_parallel.Pool.t ->
-  ?shards:int -> ?tracer:Ds_congest.Trace.t -> ?obs:Ds_obs.Obs.t ->
-  Ds_graph.Graph.t -> levels:Levels.t -> result
+  ?pool:Ds_parallel.Pool.t -> ?tracer:Ds_congest.Trace.t ->
+  ?obs:Ds_obs.Obs.t -> Ds_graph.Graph.t -> levels:Levels.t -> result
 (** [tracer] (and likewise [obs]) is threaded through every phase
     engine, so its rows line up with the combined per-phase
     metrics. *)

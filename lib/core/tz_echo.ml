@@ -1,8 +1,6 @@
 module Graph = Ds_graph.Graph
 module Dist = Ds_graph.Dist
 module Engine = Ds_congest.Engine
-module Plane = Ds_congest.Plane
-module Superstep = Ds_congest.Superstep
 module Metrics = Ds_congest.Metrics
 module Setup = Ds_congest.Setup
 
@@ -285,57 +283,21 @@ type result = {
   leader : int;
 }
 
-let codec =
-  let open Ds_util in
-  {
-    Superstep.encode =
-      (fun b m ->
-        match m with
-        | Data (p, s, d) ->
-          Ivec.push b 0;
-          Ivec.push b p;
-          Ivec.push b s;
-          Ivec.push b d
-        | Echo (p, s, d) ->
-          Ivec.push b 1;
-          Ivec.push b p;
-          Ivec.push b s;
-          Ivec.push b d
-        | Complete p ->
-          Ivec.push b 2;
-          Ivec.push b p
-        | Start p ->
-          Ivec.push b 3;
-          Ivec.push b p
-        | Finish -> Ivec.push b 4);
-    decode =
-      (fun w o ->
-        match Ivec.get w o with
-        | 0 -> Data (Ivec.get w (o + 1), Ivec.get w (o + 2), Ivec.get w (o + 3))
-        | 1 -> Echo (Ivec.get w (o + 1), Ivec.get w (o + 2), Ivec.get w (o + 3))
-        | 2 -> Complete (Ivec.get w (o + 1))
-        | 3 -> Start (Ivec.get w (o + 1))
-        | _ -> Finish);
-  }
-
-let build ?backend ?pool ?shards ?jitter ?tracer ?obs g ~levels =
+let build ?pool ?jitter ?tracer ?obs g ~levels =
   let n = Graph.n g in
   let k = Levels.k levels in
-  let tree, setup_metrics =
-    Setup.run ?backend ?pool ?shards ?jitter ?tracer ?obs g
-  in
+  let tree, setup_metrics = Setup.run ?pool ?jitter ?tracer ?obs g in
   let r =
-    Plane.run ?backend ?pool ?shards ?jitter ?tracer ?obs ~codec g
-      (protocol ~levels ~tree)
+    Engine.execute ?pool ?jitter ?tracer ?obs g (protocol ~levels ~tree)
   in
-  (match r.Plane.stop with
+  (match r.Engine.stop with
   | All_halted | Quiescent -> ()
   | Round_limit -> failwith "Tz_echo: round limit hit");
-  let m = r.Plane.metrics in
+  let m = r.Engine.metrics in
   Metrics.mark_phase m "tz-echo";
   let labels =
     Array.init n (fun u ->
-        let st = r.Plane.states.(u) in
+        let st = r.Engine.states.(u) in
         let l = Label.create ~owner:u ~k in
         for i = 0 to k - 1 do
           let d, p = st.pivot.(i) in

@@ -27,8 +27,7 @@ type result = {
 }
 
 val build :
-  ?backend:Ds_congest.Plane.backend -> ?pool:Ds_parallel.Pool.t ->
-  ?shards:int -> ?jitter:Ds_congest.Engine.jitter ->
+  ?pool:Ds_parallel.Pool.t -> ?jitter:Ds_congest.Engine.jitter ->
   ?tracer:Ds_congest.Trace.t -> ?obs:Ds_obs.Obs.t ->
   Ds_graph.Graph.t -> levels:Levels.t -> result
 (** With [jitter] the protocol runs under bounded link asynchrony (the

@@ -9,7 +9,7 @@
     under a given arrival rate, queueing included. This module is that
     loop, kept deterministic enough to pin in CI:
 
-    - {b Sharded queues.} The request stream is cut into admission
+    - {b Per-worker queues.} The request stream is cut into admission
       blocks of [batch] pairs; block [j] belongs to worker
       [j mod workers], where one worker runs per pool domain. The
       assignment is static, so which worker serves which request — and

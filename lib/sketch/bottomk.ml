@@ -2,7 +2,6 @@ module Graph = Ds_graph.Graph
 module Dist = Ds_graph.Dist
 module Dijkstra = Ds_graph.Dijkstra
 module Engine = Ds_congest.Engine
-module Plane = Ds_congest.Plane
 module Metrics = Ds_congest.Metrics
 module Wire = Ds_congest.Wire
 module Rng = Ds_util.Rng
@@ -86,7 +85,7 @@ let enqueue st src j =
    is lex-below [(r, src)]. A linear scan over the table — it holds
    O(k log n) entries in expectation, and the scan stops at [k]. The
    count is over set contents only (order-independent), which is what
-   keeps the protocol byte-deterministic across backends. *)
+   keeps the protocol byte-deterministic across pool sizes. *)
 let admits st src r nd =
   let c = ref 0 in
   let cap = Array.length st.keys in
@@ -223,25 +222,24 @@ type result = {
   max_pending : int;
 }
 
-let run ?backend ?pool ?shards ?tracer ?obs g ~k ~seed =
+let run ?pool ?tracer ?obs g ~k ~seed =
   if k < 1 then invalid_arg "Bottomk.run: k < 1";
   let r =
-    Plane.run ?backend ?pool ?shards ?tracer ?obs ~codec:Wire.codec g
-      (protocol ~n:(Graph.n g) ~k ~seed)
+    Engine.execute ?pool ?tracer ?obs g (protocol ~n:(Graph.n g) ~k ~seed)
   in
-  (match r.Plane.stop with
+  (match r.Engine.stop with
   | Quiescent | All_halted -> ()
   | Round_limit -> failwith "Bottomk: round limit hit");
-  let m = r.Plane.metrics in
+  let m = r.Engine.metrics in
   Metrics.mark_phase m "bottomk";
   let max_pending =
     Array.fold_left
       (fun acc (st : state) -> max acc st.max_pending)
-      0 r.Plane.states
+      0 r.Engine.states
   in
-  let entries = Array.map sketch_entries r.Plane.states in
+  let entries = Array.map sketch_entries r.Engine.states in
   let sketch = Sketch.v ~family:Family.Bottomk ~k entries in
-  { sketch; metrics = m; mem_words = r.Plane.mem_words; max_pending }
+  { sketch; metrics = m; mem_words = r.Engine.mem_words; max_pending }
 
 let reference g ~k ~seed =
   if k < 1 then invalid_arg "Bottomk.reference: k < 1";

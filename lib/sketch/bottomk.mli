@@ -33,9 +33,7 @@ type result = {
 }
 
 val run :
-  ?backend:Ds_congest.Plane.backend ->
   ?pool:Ds_parallel.Pool.t ->
-  ?shards:int ->
   ?tracer:Ds_congest.Trace.t ->
   ?obs:Ds_obs.Obs.t ->
   Ds_graph.Graph.t ->
@@ -43,8 +41,8 @@ val run :
   seed:int ->
   result
 (** Build the sketches. Deterministic in [(g, k, seed)]: byte-identical
-    sketches and metrics on either backend at any domain/shard count
-    (the canonical inbox order pins the interleavings). *)
+    sketches and metrics at any pool size (the canonical inbox order
+    pins the interleavings). *)
 
 val reference : Ds_graph.Graph.t -> k:int -> seed:int -> (int * int) array array
 (** Sequential specification: per node, Dijkstra distances, then admit

@@ -7,8 +7,8 @@
     [--sketch tz] reproduces historical snapshots bit-for-bit) and
     runs {!Ds_core.Tz_distributed}; [Landmark] and [Bottomk] run the
     protocols of this library with the seed as given. All three are
-    deterministic in [(g, k, seed)] and byte-identical across
-    backends and domain/shard counts. *)
+    deterministic in [(g, k, seed)] and byte-identical across pool
+    sizes. *)
 
 type result = {
   sketch : Sketch.t;
@@ -19,9 +19,7 @@ type result = {
 }
 
 val run :
-  ?backend:Ds_congest.Plane.backend ->
   ?pool:Ds_parallel.Pool.t ->
-  ?shards:int ->
   ?tracer:Ds_congest.Trace.t ->
   ?obs:Ds_obs.Obs.t ->
   family:Family.t ->

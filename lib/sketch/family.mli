@@ -1,7 +1,7 @@
 (** The sketch families the platform can build and serve.
 
     Every family shares one contract: a distributed build via
-    {!Ds_congest.Plane.run} on either backend, the flat-word label
+    {!Ds_congest.Engine.execute}, the flat-word label
     layout of {!Sketch.t}, a point-to-point estimator, and
     [size_words] in the paper's units. The family tag travels in the
     snapshot header (format v2) and dispatches the estimator at query

@@ -44,7 +44,7 @@ let entries_of_maps maps =
 
 type result = { sketch : Sketch.t; metrics : Metrics.t }
 
-let run ?backend ?pool ?shards ?tracer ?obs g ~k ~seed =
+let run ?pool ?tracer ?obs g ~k ~seed =
   if k < 1 then invalid_arg "Landmark.run: k < 1";
   let n = Graph.n g in
   let maps = Array.init n (fun _ -> Hashtbl.create 8) in
@@ -52,7 +52,7 @@ let run ?backend ?pool ?shards ?tracer ?obs g ~k ~seed =
   Array.iter
     (fun set ->
       let sources = Array.to_list set in
-      let res, m = Super_bf.run ?backend ?pool ?shards ?tracer ?obs g ~sources in
+      let res, m = Super_bf.run ?pool ?tracer ?obs g ~sources in
       acc := Metrics.add !acc m;
       merge_run maps res)
     (sets ~n ~k ~seed);

@@ -3,8 +3,8 @@
     [r = max(1, ⌊log₂ n⌋)] landmark sets per iteration, sizes
     [min(2^j, n)] for [j = 0..r-1], repeated for [k] independent
     iterations — [k·r] sets total, all sampled up-front from a single
-    [Rng.create seed] stream so the choice is identical on every
-    backend. For each set one {!Ds_congest.Super_bf} run (the virtual
+    [Rng.create seed] stream so the choice is identical at every
+    pool size. For each set one {!Ds_congest.Super_bf} run (the virtual
     super-node Bellman–Ford, Algorithm 1) teaches every node its
     closest landmark in the set and the exact distance; a node's
     sketch is the min-merged (landmark, distance) map over all sets.
@@ -32,9 +32,7 @@ type result = {
 }
 
 val run :
-  ?backend:Ds_congest.Plane.backend ->
   ?pool:Ds_parallel.Pool.t ->
-  ?shards:int ->
   ?tracer:Ds_congest.Trace.t ->
   ?obs:Ds_obs.Obs.t ->
   Ds_graph.Graph.t ->
@@ -42,7 +40,7 @@ val run :
   seed:int ->
   result
 (** Build the sketches. Deterministic in [(g, k, seed)]:
-    byte-identical on either backend at any domain/shard count. *)
+    byte-identical at any pool size. *)
 
 val reference : Ds_graph.Graph.t -> k:int -> seed:int -> (int * int) array array
 (** Sequential specification over the same {!sets}: per set a

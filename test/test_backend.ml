@@ -1,14 +1,13 @@
-(* The two-backend contract: a protocol run is a pure function of
-   (graph, protocol) — the congest engine and the MPC-style sharded
-   engine produce byte-identical states and metrics, for every pool
-   size and every shard count. The canonical inbox order (ascending
-   sender index, unique per round) is what pins the interleavings. *)
+(* The engine contract: a protocol run is a pure function of (graph,
+   protocol) — byte-identical states and metrics for every pool size.
+   The canonical inbox order (ascending sender index, unique per
+   round) is what pins the interleavings. Also here: the packed wire
+   words and the message-plane word budget. *)
 
 module Rng = Ds_util.Rng
-module Ivec = Ds_util.Ivec
 module Graph = Ds_graph.Graph
 module Gen = Ds_graph.Gen
-module Plane = Ds_congest.Plane
+module Engine = Ds_congest.Engine
 module Superstep = Ds_congest.Superstep
 module Metrics = Ds_congest.Metrics
 module Multi_bf = Ds_congest.Multi_bf
@@ -43,20 +42,20 @@ let labels_equal name a b =
 
 let graph seed n = Gen.erdos_renyi ~rng:(Rng.create seed) ~n ~avg_degree:5.0 ()
 
-(* One congest reference run per construction, then the sharded
-   backend across pool sizes: results must match the reference bit for
-   bit. Domain counts beyond the host's core count still run (chunks
-   just queue), so the matrix is stable on any machine. *)
-let domain_matrix = [ 1; 2; 4; 8 ]
+(* One sequential reference run per construction, then the same run
+   across pool sizes: results must match the reference bit for bit.
+   Domain counts beyond the host's core count still run (chunks just
+   queue), so the matrix is stable on any machine. *)
+let domain_matrix = [ 2; 4; 8 ]
 
-let test_tz_cross_backend () =
+let test_tz_pool_width () =
   let g = graph 301 120 in
   let levels = Levels.sample ~rng:(Rng.create 302) ~n:(Graph.n g) ~k:3 in
-  let ref_r = Tz.build ~backend:Plane.Congest g ~levels in
+  let ref_r = Tz.build g ~levels in
   List.iter
     (fun domains ->
       Pool.with_pool ~domains @@ fun pool ->
-      let r = Tz.build ~backend:Plane.Sharded ~pool g ~levels in
+      let r = Tz.build ~pool g ~levels in
       let name = Printf.sprintf "tz d=%d" domains in
       labels_equal name ref_r.Tz.labels r.Tz.labels;
       check_metrics_equal name ref_r.Tz.metrics r.Tz.metrics;
@@ -65,18 +64,14 @@ let test_tz_cross_backend () =
         ref_r.Tz.max_pending r.Tz.max_pending)
     domain_matrix
 
-let test_slack_cross_backend () =
+let test_slack_pool_width () =
   let g = graph 303 140 in
-  let ref_r =
-    Slack.build_distributed ~backend:Plane.Congest ~rng:(Rng.create 304) g
-      ~eps:0.25
-  in
+  let ref_r = Slack.build_distributed ~rng:(Rng.create 304) g ~eps:0.25 in
   List.iter
     (fun domains ->
       Pool.with_pool ~domains @@ fun pool ->
       let r =
-        Slack.build_distributed ~backend:Plane.Sharded ~pool
-          ~rng:(Rng.create 304) g ~eps:0.25
+        Slack.build_distributed ~pool ~rng:(Rng.create 304) g ~eps:0.25
       in
       let name = Printf.sprintf "slack d=%d" domains in
       Alcotest.(check bool)
@@ -87,18 +82,14 @@ let test_slack_cross_backend () =
       check_metrics_equal name ref_r.Slack.metrics r.Slack.metrics)
     domain_matrix
 
-let test_cdg_cross_backend () =
+let test_cdg_pool_width () =
   let g = graph 305 130 in
-  let ref_r =
-    Cdg.build_distributed ~backend:Plane.Congest ~rng:(Rng.create 306) g
-      ~eps:0.3 ~k:2
-  in
+  let ref_r = Cdg.build_distributed ~rng:(Rng.create 306) g ~eps:0.3 ~k:2 in
   List.iter
     (fun domains ->
       Pool.with_pool ~domains @@ fun pool ->
       let r =
-        Cdg.build_distributed ~backend:Plane.Sharded ~pool
-          ~rng:(Rng.create 306) g ~eps:0.3 ~k:2
+        Cdg.build_distributed ~pool ~rng:(Rng.create 306) g ~eps:0.3 ~k:2
       in
       let name = Printf.sprintf "cdg d=%d" domains in
       Array.iteri
@@ -119,36 +110,6 @@ let test_cdg_cross_backend () =
         ref_r.Cdg.sketches;
       check_metrics_equal name ref_r.Cdg.metrics r.Cdg.metrics)
     domain_matrix
-
-(* Shard count is an execution knob, not a semantic one: any shard
-   count on any pool produces the reference run. *)
-let test_shard_count_invariant () =
-  let g = graph 307 90 in
-  let levels = Levels.sample ~rng:(Rng.create 308) ~n:(Graph.n g) ~k:2 in
-  let ref_r = Tz.build ~backend:Plane.Congest g ~levels in
-  Pool.with_pool ~domains:3 @@ fun pool ->
-  List.iter
-    (fun shards ->
-      let r = Tz.build ~backend:Plane.Sharded ~pool ~shards g ~levels in
-      let name = Printf.sprintf "shards=%d" shards in
-      labels_equal name ref_r.Tz.labels r.Tz.labels;
-      check_metrics_equal name ref_r.Tz.metrics r.Tz.metrics)
-    [ 1; 2; 3; 7; 90; 500 ]
-
-(* A packed announcement crosses the wire as exactly one word. *)
-let test_codec_roundtrip () =
-  let sp = Wire.split 100_000 in
-  let w = Ivec.create ~capacity:8 () in
-  List.iter
-    (fun (src, dist) ->
-      Ivec.clear w;
-      Multi_bf.codec.Superstep.encode w (Wire.pack sp ~src ~dist);
-      Alcotest.(check int) "one wire word" 1 (Ivec.length w);
-      let m = Multi_bf.codec.Superstep.decode w 0 in
-      Alcotest.(check (pair int int))
-        "multi-bf codec" (src, dist)
-        (Wire.src sp m, Wire.dist sp m))
-    [ (0, 0); (17, 42); (99_999, Wire.max_dist sp); (1, 1) ]
 
 let raises_invalid f =
   match f () with _ -> false | exception Invalid_argument _ -> true
@@ -202,36 +163,6 @@ let test_super_bf_tags () =
         (raises_invalid (fun () -> Super_bf.update sp ~src:0 ~dist:(top + 1))))
     [ 1; 2; 1 lsl 20 ]
 
-(* Setup's codec frames entries of two physical widths on the wire —
-   candidate floods and their echoes take 2 words, the tree-building
-   and completion waves 1 — so the sharded deliver step must stride
-   each [link; width; words...] entry by its own width. Super-bf mixes
-   2-word and 1-word model charges in one-word entries. Both run
-   through the sharded plane on a 4-domain pool and are pinned,
-   metrics included, to congest. *)
-let test_variable_width_messages () =
-  let g = graph 309 80 in
-  Pool.with_pool ~domains:4 @@ fun pool ->
-  let ref_s, ref_sm = Ds_congest.Setup.run ~backend:Plane.Congest g in
-  let s, sm = Ds_congest.Setup.run ~backend:Plane.Sharded ~pool g in
-  Alcotest.(check int) "setup leader" ref_s.Ds_congest.Setup.leader
-    s.Ds_congest.Setup.leader;
-  Alcotest.(check (array int)) "setup parent" ref_s.Ds_congest.Setup.parent
-    s.Ds_congest.Setup.parent;
-  Alcotest.(check bool) "setup children" true
-    (ref_s.Ds_congest.Setup.children = s.Ds_congest.Setup.children);
-  check_metrics_equal "setup" ref_sm sm;
-  let sources = [ 0; 40 ] in
-  let ref_r, ref_m =
-    Ds_congest.Super_bf.run ~backend:Plane.Congest g ~sources
-  in
-  let r, m = Ds_congest.Super_bf.run ~backend:Plane.Sharded ~pool g ~sources in
-  Alcotest.(check (array int)) "dist" ref_r.Ds_congest.Super_bf.dist
-    r.Ds_congest.Super_bf.dist;
-  Alcotest.(check (array int)) "parent" ref_r.Ds_congest.Super_bf.parent
-    r.Ds_congest.Super_bf.parent;
-  check_metrics_equal "super-bf" ref_m m
-
 (* The canonical inbox order, observed from inside [on_round]: every
    inbox a protocol sees lists its senders in strictly ascending
    neighbor index. Nodes send to a pseudo-random subset of links each
@@ -269,34 +200,31 @@ let order_probe ~rounds : (probe, int) Superstep.protocol =
   }
 
 let test_canonical_inbox_order () =
-  let check name (r : (probe, int) Plane.exec) =
+  let check name (r : (probe, int) Engine.exec) =
     Alcotest.(check bool) (name ^ " inboxes ascending") true
-      (Array.for_all (fun st -> st.ordered) r.Plane.states);
+      (Array.for_all (fun st -> st.ordered) r.Engine.states);
     Alcotest.(check bool) (name ^ " some inbox holds several") true
-      (Array.exists (fun st -> st.widest >= 3) r.Plane.states)
+      (Array.exists (fun st -> st.widest >= 3) r.Engine.states)
   in
   Pool.with_pool ~domains:2 @@ fun pool ->
   List.iter
     (fun seed ->
       let g = Helpers.random_graph ~seed ~avg_degree:8.0 150 in
       let proto = order_probe ~rounds:12 in
-      List.iter
-        (fun backend ->
-          check
-            (Printf.sprintf "%s seed %d" (Plane.backend_name backend) seed)
-            (Plane.run ~backend ~pool ~codec:Wire.codec g proto))
-        Plane.backends;
-      let jitter = { Ds_congest.Engine.rng = Rng.create seed; max_delay = 3 } in
       check
-        (Printf.sprintf "jittered congest seed %d" seed)
-        (Plane.run ~pool ~jitter ~codec:Wire.codec g proto))
+        (Printf.sprintf "synchronous seed %d" seed)
+        (Engine.execute ~pool g proto);
+      let jitter = { Engine.rng = Rng.create seed; max_delay = 3 } in
+      check
+        (Printf.sprintf "jittered seed %d" seed)
+        (Engine.execute ~pool ~jitter g proto))
     [ 311; 312; 313 ]
 
 (* The audited word budget of the message-plane backbone (DESIGN.md
-   "Sharded build plane"): at most 48 words per directed link plus 32
-   words per node, on either backend. Checked at n = 10^5 — the scale
-   the sharded plane exists for — with a streaming sparse graph and an
-   unrestricted 4-source flood (rings at their high-water mark). *)
+   "Engine internals"): at most 48 words per directed link plus 32
+   words per node. Checked at n = 10^5 — the scale experiment's size —
+   with a streaming sparse graph and an unrestricted 4-source flood
+   (rings at their high-water mark). *)
 let test_memory_budget_at_scale () =
   let n = 100_000 in
   let g = Gen.streaming_sparse ~rng:(Rng.create 310) ~n ~avg_degree:8.0 () in
@@ -306,42 +234,30 @@ let test_memory_budget_at_scale () =
   let src_set = Array.make n false in
   List.iter (fun s -> src_set.(s) <- true) sources;
   Pool.with_pool ~domains:2 @@ fun pool ->
-  List.iter
-    (fun backend ->
-      let r =
-        Plane.run ~backend ~pool ~codec:Multi_bf.codec g
-          (Multi_bf.protocol ~n
-             ~is_source:(fun u -> src_set.(u))
-             ~bound:(fun _ -> Ds_graph.Dist.none))
-      in
-      (match r.Plane.stop with
-      | Superstep.Quiescent | Superstep.All_halted -> ()
-      | Superstep.Round_limit -> Alcotest.fail "round limit");
-      let name = Plane.backend_name backend in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s plane fits budget (%d <= %d)" name
-           r.Plane.mem_words budget)
-        true
-        (r.Plane.mem_words <= budget))
-    Plane.backends
+  let r =
+    Engine.execute ~pool g
+      (Multi_bf.protocol ~n
+         ~is_source:(fun u -> src_set.(u))
+         ~bound:(fun _ -> Ds_graph.Dist.none))
+  in
+  (match r.Engine.stop with
+  | Engine.Quiescent | Engine.All_halted -> ()
+  | Engine.Round_limit -> Alcotest.fail "round limit");
+  Alcotest.(check bool)
+    (Printf.sprintf "plane fits budget (%d <= %d)" r.Engine.mem_words budget)
+    true
+    (r.Engine.mem_words <= budget)
 
 let suite =
   [
-    Alcotest.test_case "tz congest = sharded across pools" `Quick
-      test_tz_cross_backend;
-    Alcotest.test_case "slack congest = sharded across pools" `Quick
-      test_slack_cross_backend;
-    Alcotest.test_case "cdg congest = sharded across pools" `Quick
-      test_cdg_cross_backend;
-    Alcotest.test_case "shard count invariant" `Quick
-      test_shard_count_invariant;
-    Alcotest.test_case "multi-bf codec roundtrip" `Quick test_codec_roundtrip;
+    Alcotest.test_case "tz pool-width invariant" `Quick test_tz_pool_width;
+    Alcotest.test_case "slack pool-width invariant" `Quick
+      test_slack_pool_width;
+    Alcotest.test_case "cdg pool-width invariant" `Quick test_cdg_pool_width;
     Alcotest.test_case "wire packing extremes" `Quick test_wire_packing_extremes;
     Alcotest.test_case "super-bf tags decode" `Quick test_super_bf_tags;
-    Alcotest.test_case "canonical inbox order on both backends" `Quick
+    Alcotest.test_case "inboxes arrive in canonical order" `Quick
       test_canonical_inbox_order;
-    Alcotest.test_case "variable-width messages cross-backend" `Quick
-      test_variable_width_messages;
     Alcotest.test_case "memory budget at n=1e5" `Slow
       test_memory_budget_at_scale;
   ]

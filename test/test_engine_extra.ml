@@ -167,10 +167,9 @@ let test_zero_alloc_steady_state () =
     (minor_words_per_round (fun () -> Engine.step eng))
 
 (* A star whose every node sends every round: the hub gathers one slot
-   per leaf into its inbox each round, on both backends (two shards on
-   the sharded one, so messages also cross shards). [widest] records
-   the hub's inbox length, proving several slots were gathered. *)
-let test_zero_alloc_star_both_backends () =
+   per leaf into its inbox each round. [widest] records the hub's inbox
+   length, proving several slots were gathered. *)
+let test_zero_alloc_star () =
   let leaves = 16 in
   let g = Graph.of_edges ~n:(leaves + 1) (List.init leaves (fun i -> (0, i + 1, 1))) in
   let proto : (int ref, int) Engine.protocol =
@@ -191,17 +190,9 @@ let test_zero_alloc_star_both_backends () =
     }
   in
   let eng = Engine.create g proto in
-  Alcotest.(check (float 0.0)) "congest minor words per star round" 0.0
+  Alcotest.(check (float 0.0)) "minor words per star round" 0.0
     (minor_words_per_round (fun () -> Engine.step eng));
-  Alcotest.(check int) "congest hub gathers every leaf" leaves
-    !(Engine.state eng 0);
-  let sh =
-    Ds_congest.Shard_engine.create ~shards:2 ~codec:Ds_congest.Wire.codec g proto
-  in
-  Alcotest.(check (float 0.0)) "sharded minor words per star round" 0.0
-    (minor_words_per_round (fun () -> Ds_congest.Shard_engine.step sh));
-  Alcotest.(check int) "sharded hub gathers every leaf" leaves
-    !(Ds_congest.Shard_engine.state sh 0)
+  Alcotest.(check int) "hub gathers every leaf" leaves !(Engine.state eng 0)
 
 (* The same pin with the metrics plane attached: an instrumented round
    is a handful of extra int-array stores, so steady-state rounds must
@@ -290,8 +281,8 @@ let suite =
       test_zero_alloc_steady_state;
     Alcotest.test_case "instrumented rounds allocate zero minor words" `Quick
       test_zero_alloc_instrumented_round;
-    Alcotest.test_case "star rounds allocate zero minor words on both backends"
-      `Quick test_zero_alloc_star_both_backends;
+    Alcotest.test_case "star rounds allocate zero minor words in steady state"
+      `Quick test_zero_alloc_star;
     Alcotest.test_case "instrumented serve block allocates zero minor words"
       `Quick test_zero_alloc_instrumented_serve_block;
   ]

@@ -2,7 +2,7 @@
    totals once writers quiesce, the approximate (histogram) percentiles
    agree with the exact ones to within one log2 bucket, the sampler's
    cumulative points reconcile with the run's own accounting, the
-   engine's [engine.*] counters equal its Metrics on both backends,
+   engine's [engine.*] counters equal its Metrics at every pool width,
    and attaching [?obs] never perturbs a [?tracer]'s exports. *)
 
 module Rng = Ds_util.Rng
@@ -13,7 +13,6 @@ module Graph = Ds_graph.Graph
 module Metrics = Ds_congest.Metrics
 module Trace = Ds_congest.Trace
 module Multi_bf = Ds_congest.Multi_bf
-module Plane = Ds_congest.Plane
 module Obs = Ds_obs.Obs
 module Obs_doc = Ds_obs.Obs_doc
 module Sampler = Ds_obs.Sampler
@@ -557,30 +556,26 @@ let test_serve_sampler_only () =
   Alcotest.(check int) "empty stream: one point" 1
     (List.length (Sampler.points s0))
 
-(* --- engine counters vs Metrics, both backends --------------------- *)
+(* --- engine counters vs Metrics, sequential and pooled ------------- *)
 
 let test_engine_obs_matches_metrics () =
   let g = Helpers.random_graph ~seed:91 80 in
   let sources = [ 0; 11; 40 ] in
-  List.iter
-    (fun backend ->
-      let t = Obs.create () in
-      let _, m =
-        Multi_bf.run ~backend ~obs:t g ~sources
-          ~bound:(fun _ -> Ds_graph.Dist.none)
-      in
-      Alcotest.(check int) "rounds" (Metrics.rounds m)
-        (Obs.value t Obs.Name.engine_rounds);
-      Alcotest.(check int) "deliveries" (Metrics.messages m)
-        (Obs.value t Obs.Name.engine_deliveries);
-      Alcotest.(check int) "words" (Metrics.words m)
-        (Obs.value t Obs.Name.engine_words))
-    [ Plane.Congest; Plane.Sharded ];
+  let t = Obs.create () in
+  let _, m =
+    Multi_bf.run ~obs:t g ~sources ~bound:(fun _ -> Ds_graph.Dist.none)
+  in
+  Alcotest.(check int) "rounds" (Metrics.rounds m)
+    (Obs.value t Obs.Name.engine_rounds);
+  Alcotest.(check int) "deliveries" (Metrics.messages m)
+    (Obs.value t Obs.Name.engine_deliveries);
+  Alcotest.(check int) "words" (Metrics.words m)
+    (Obs.value t Obs.Name.engine_words);
   (* and identically when fanned over a real pool *)
   Pool.with_pool ~domains:4 (fun pool ->
       let t = Obs.create () in
       let _, m =
-        Multi_bf.run ~backend:Plane.Sharded ~pool ~obs:t g ~sources
+        Multi_bf.run ~pool ~obs:t g ~sources
           ~bound:(fun _ -> Ds_graph.Dist.none)
       in
       Alcotest.(check int) "pooled deliveries" (Metrics.messages m)
@@ -656,7 +651,8 @@ let suite =
       test_serve_reconciliation;
     Alcotest.test_case "sampler-only serve instruments its registry" `Quick
       test_serve_sampler_only;
-    Alcotest.test_case "engine counters equal metrics on both backends" `Quick
+    Alcotest.test_case "engine counters equal metrics on both pool widths"
+      `Quick
       test_engine_obs_matches_metrics;
     Alcotest.test_case "tracer exports unchanged with obs attached" `Quick
       test_tracer_obs_coexistence;
