@@ -137,7 +137,7 @@ let bench_tests () =
              Engine.run eng));
     ]
   in
-  let oracle = Oracle.of_labels labels in
+  let oracle = Oracle.of_sketch (Ds_sketch.Sketch.of_tz_labels labels) in
   let fast =
     [
       Test.make ~name:"B4 label query"
@@ -181,8 +181,8 @@ module Json = Ds_util.Json
 
 let opt_int = function Some v -> Json.Int v | None -> Json.Null
 
-(* [extra] carries the structured sections (the B12 scaling table, the
-   B16/B17 serving sweeps) next to the flat benchmark rows. [cores]
+(* [extra] carries the structured sections (the serving, family and
+   snapshot tables) next to the flat benchmark rows. [cores]
    records the host parallelism the run had available — without it the
    domain-scaling rows are uninterpretable (a 1-core container shows
    flat QPS for every pool size, and that is correct behaviour, not a
@@ -223,16 +223,14 @@ let save_json ~path ~extra rows =
    bulk throughput (ns per query over a 200k-pair batch), measured
    directly with the monotonic clock after a warm-up pass. On a
    multi-core host the ns/query figure drops as domains grow; answers
-   are bit-identical for every pool size (pinned by the test suite).
-   Returns the flat rows plus the structured before/after scaling
-   table (the diagnosis artifact behind the B12 fix). *)
+   are bit-identical for every pool size (pinned by the test suite). *)
 let oracle_batch_rows ~quick () =
   let n = 1024 and pairs_count = if quick then 50_000 else 200_000 in
   let g = Gen.erdos_renyi ~rng:(Rng.create 7) ~n ~avg_degree:6.0 () in
   let levels = Levels.sample ~rng:(Rng.create 8) ~n ~k:3 in
-  let oracle = Oracle.of_labels (Ds_core.Tz_centralized.build g ~levels) in
-  let pairs =
-    Workload.pairs ~rng:(Rng.create 9) Workload.Uniform ~n ~count:pairs_count
+  let oracle =
+    Oracle.of_sketch
+      (Ds_sketch.Sketch.of_tz_labels (Ds_core.Tz_centralized.build g ~levels))
   in
   (* Best of [passes]: a single 50 ms batch is one scheduler quantum
      draw, and on a busy host the row-to-row spread (±15%) swamps the
@@ -243,81 +241,24 @@ let oracle_batch_rows ~quick () =
     Workload.pairs_flat ~rng:(Rng.create 9) Workload.Uniform ~n
       ~count:pairs_count
   in
-  (* Boxed first (the "before" of the regression stays on record),
-     then the flat layout: same seed, same pairs, same oracle — the
-     delta is purely the [(u,v)] pointer chase plus the cache-line
-     sharing at chunk boundaries. *)
-  let measured =
-    List.map
-      (fun domains ->
-        Pool.with_pool ~domains (fun pool ->
-            ignore (Oracle.query_batch ~pool oracle pairs);
-            let best = ref infinity in
-            for _ = 1 to passes do
-              let _, stats =
-                Oracle.run_batch ~pool ~latency_sample:0 oracle pairs
-              in
-              if stats.Oracle.elapsed_ns < !best then
-                best := stats.Oracle.elapsed_ns
-            done;
-            ignore (Oracle.query_batch_flat ~pool oracle flat);
-            let best_flat = ref infinity in
-            for _ = 1 to passes do
-              let _, stats =
-                Oracle.run_batch_flat ~pool ~latency_sample:0 oracle flat
-              in
-              if stats.Oracle.elapsed_ns < !best_flat then
-                best_flat := stats.Oracle.elapsed_ns
-            done;
-            ( domains,
-              !best /. float_of_int pairs_count,
-              !best_flat /. float_of_int pairs_count )))
-      [ 1; 2; 4; 8 ]
-  in
-  let rows =
-    List.concat_map
-      (fun (domains, boxed, flat_ns) ->
-        [
-          ( Printf.sprintf
-              "B12 oracle batch query boxed (n=1024, %dk pairs, domains=%d)"
-              (pairs_count / 1000) domains,
-            boxed,
-            None );
+  List.map
+    (fun domains ->
+      Pool.with_pool ~domains (fun pool ->
+          ignore (Oracle.query_batch_flat ~pool oracle flat);
+          let best = ref infinity in
+          for _ = 1 to passes do
+            let _, stats =
+              Oracle.run_batch_flat ~pool ~latency_sample:0 oracle flat
+            in
+            if stats.Oracle.elapsed_ns < !best then
+              best := stats.Oracle.elapsed_ns
+          done;
           ( Printf.sprintf
               "B12 oracle batch query flat (n=1024, %dk pairs, domains=%d)"
               (pairs_count / 1000) domains,
-            flat_ns,
-            None );
-        ])
-      measured
-  in
-  let table =
-    Json.Obj
-      [
-        ("bench", Json.String "B12");
-        ("n", Json.Int n);
-        ("pairs", Json.Int pairs_count);
-        ( "root_cause",
-          Json.String
-            "per-pair closure dispatch through parallel_for plus a \
-             dependent (u,v) tuple load per pair and false sharing of \
-             result cache lines at chunk boundaries; fixed by \
-             chunk-granularity dispatch over a flat endpoint array with \
-             8-pair block-aligned writes" );
-        ( "rows",
-          Json.List
-            (List.map
-               (fun (domains, boxed, flat_ns) ->
-                 Json.Obj
-                   [
-                     ("domains", Json.Int domains);
-                     ("before_boxed_ns_per_pair", Json.Float boxed);
-                     ("after_flat_ns_per_pair", Json.Float flat_ns);
-                   ])
-               measured) );
-      ]
-  in
-  (rows, table)
+            !best /. float_of_int pairs_count,
+            None )))
+    [ 1; 2; 4; 8 ]
 
 (* B16/B17: the serving loop (Serve.run). B16 measures delivered QPS
    vs pool size on a large Zipf batch, closed loop, hot-pair cache on
@@ -329,7 +270,10 @@ let serve_rows ~quick () =
   let n = 1024 in
   let g = Gen.erdos_renyi ~rng:(Rng.create 7) ~n ~avg_degree:6.0 () in
   let levels = Levels.sample ~rng:(Rng.create 8) ~n ~k:3 in
-  let oracle = Oracle.of_labels (Ds_core.Tz_centralized.build g ~levels) in
+  let oracle =
+    Oracle.of_sketch
+      (Ds_sketch.Sketch.of_tz_labels (Ds_core.Tz_centralized.build g ~levels))
+  in
   let serve = Ds_oracle.Serve.run in
   let b16_pairs = if quick then 100_000 else 200_000 in
   let b16_alpha = 1.2 and b16_bits = 12 in
@@ -674,7 +618,10 @@ let snapshot_rows ~quick () =
         let r = Ds_core.Tz_distributed.build ~pool g ~levels in
         r.Ds_core.Tz_distributed.labels)
   in
-  let store = Store.of_labels ~seed:23 ~graph_family:"streaming_sparse" labels in
+  let store =
+    Store.v ~seed:23 ~graph_family:"streaming_sparse"
+      (Ds_sketch.Sketch.of_tz_labels labels)
+  in
   let path = Filename.temp_file "dss_b21" ".dsk" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -787,7 +734,7 @@ let run_microbenches ~quick () =
         (name, est, r2))
       rows
   in
-  let b12_rows, b12_table = oracle_batch_rows ~quick () in
+  let b12_rows = oracle_batch_rows ~quick () in
   let b16_rows, serve_table = serve_rows ~quick () in
   let b19_rows, families_table = family_rows ~quick () in
   let b21_rows, snapshot_table = snapshot_rows ~quick () in
@@ -806,7 +753,6 @@ let run_microbenches ~quick () =
   save_json ~path:"BENCH_engine.json"
     ~extra:
       [
-        ("b12_scaling", b12_table);
         ("serve", serve_table);
         ("families", families_table);
         ("snapshot", snapshot_table);

@@ -109,12 +109,12 @@ let make_graph family n seed =
   let rng = Rng.create seed in
   Gen.build ~rng family ~n
 
-(* Exact distances for a pair stream, one memoized Dijkstra per
-   distinct source. *)
-let exact_triples g pairs =
+(* Exact distances for a flat pair stream (pair [i] at [2i], [2i+1]),
+   one memoized Dijkstra per distinct source. *)
+let exact_triples g flat =
   let cache = Hashtbl.create 64 in
-  Array.map
-    (fun (u, v) ->
+  Array.init (Array.length flat / 2) (fun i ->
+      let u = flat.(2 * i) and v = flat.((2 * i) + 1) in
       let dist =
         match Hashtbl.find_opt cache u with
         | Some d -> d
@@ -124,7 +124,6 @@ let exact_triples g pairs =
           d
       in
       (u, v, dist.(v)))
-    pairs
 
 (* Deterministic fingerprint of a batch's answers, for replay checks. *)
 let answers_fnv answers =
@@ -830,22 +829,12 @@ let oracle_cmd =
     let oracle = Oracle.of_store store in
     if pairs < 1 then fail "--pairs must be >= 1";
     if meta.Store.n < 2 then fail "need at least 2 nodes to query";
-    (* Serve through the flat layout (the fast path); [stream] keeps
-       the boxed pairs for the exact-stretch comparison below. Same
-       pairs either way, so the answers fingerprint is unchanged. *)
-    let flat, stream, pairs =
+    let flat, pairs =
       match pairs_file with
       | None ->
-        let stream =
-          Workload.pairs ~rng:(Rng.create qseed) workload ~n:meta.Store.n
-            ~count:pairs
-        in
-        let flat =
-          Array.init (2 * pairs) (fun i ->
-              let u, v = stream.(i / 2) in
-              if i land 1 = 0 then u else v)
-        in
-        (flat, stream, pairs)
+        ( Workload.pairs_flat ~rng:(Rng.create qseed) workload ~n:meta.Store.n
+            ~count:pairs,
+          pairs )
       | Some path ->
         let flat =
           try Workload.load_pairs ~n:meta.Store.n path with
@@ -854,10 +843,7 @@ let oracle_cmd =
         in
         let count = Array.length flat / 2 in
         if count = 0 then fail "%s: empty pair file" path;
-        let stream =
-          Array.init count (fun i -> (flat.(2 * i), flat.((2 * i) + 1)))
-        in
-        (flat, stream, count)
+        (flat, count)
     in
     (match dump_pairs with
     | None -> ()
@@ -936,7 +922,7 @@ let oracle_cmd =
       | None -> Json.Null
       | Some g ->
         let report =
-          Eval.on_pairs ~query:(Oracle.query oracle) (exact_triples g stream)
+          Eval.on_pairs ~query:(Oracle.query oracle) (exact_triples g flat)
         in
         (* Only tz carries a worst-case multiplicative guarantee
            (2k-1); landmark and bottom-k estimates are upper bounds
@@ -1218,56 +1204,18 @@ let query_cmd =
   let v_arg =
     Arg.(value & opt int 1 & info [ "v"; "to" ] ~docv:"V" ~doc:"Query endpoint v.")
   in
-  let pairs_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "pairs" ] ~docv:"P"
-          ~doc:
-            "Batch mode: answer $(docv) random uniform pairs from the \
-             compact local oracle instead of one in-network exchange \
-             (pair stream seeded by --seed).")
-  in
-  let run family n seed k u v domains pairs =
-    with_domains domains @@ fun pool ->
+  let run family n seed k u v domains =
     let g = make_graph family n seed in
     let gn = Graph.n g in
-    let levels = Levels.sample ~rng:(Rng.create (seed + 1)) ~n:gn ~k in
-    let built = Ds_core.Tz_distributed.build ~pool g ~levels in
-    if pairs > 0 then begin
-      (* Batch mode: sketches answer locally through the oracle; no
-         further network exchange. *)
-      let oracle =
-        Oracle.of_labels built.Ds_core.Tz_distributed.labels
-      in
-      let stream =
-        Workload.pairs ~rng:(Rng.create (seed + 9001)) Workload.Uniform ~n:gn
-          ~count:pairs
-      in
-      let answers, stats = Oracle.run_batch ~pool oracle stream in
-      let report =
-        Eval.on_pairs ~query:(Oracle.query oracle) (exact_triples g stream)
-      in
-      Format.printf
-        "batch: %d uniform pairs answered by the local oracle (n=%d, k=%d)@."
-        pairs gn k;
-      Format.printf "throughput: %.0f queries/s (%.1f ms total)@."
-        stats.Oracle.qps
-        (stats.Oracle.elapsed_ns /. 1e6);
-      Format.printf "latency ns: p50 %.0f  p99 %.0f@."
-        stats.Oracle.latency_ns.Ds_util.Stats.p50
-        stats.Oracle.latency_ns.Ds_util.Stats.p99;
-      Format.printf
-        "stretch: max %.3f avg %.3f (bound %d), %d violations@."
-        report.Eval.max_stretch report.Eval.avg_stretch
-        ((2 * k) - 1)
-        report.Eval.violations;
-      Format.printf "answers fingerprint: %s@." (answers_fnv answers)
-    end
+    if u < 0 || u >= gn || v < 0 || v >= gn then
+      `Error
+        ( true,
+          Printf.sprintf "endpoints -u %d and -v %d must be in [0, %d)" u v gn
+        )
     else begin
-      if u < 0 || u >= gn || v < 0 || v >= gn then begin
-        Printf.eprintf "endpoints must be in [0, %d)\n" gn;
-        exit 1
-      end;
+      with_domains domains @@ fun pool ->
+      let levels = Levels.sample ~rng:(Rng.create (seed + 1)) ~n:gn ~k in
+      let built = Ds_core.Tz_distributed.build ~pool g ~levels in
       let tree, _ = Ds_congest.Setup.run ~pool g in
       let r =
         Ds_core.Query_protocol.query ~pool g ~tree
@@ -1280,17 +1228,17 @@ let query_cmd =
         u v r.Ds_core.Query_protocol.estimate exact.(v)
         (float_of_int r.Ds_core.Query_protocol.estimate
         /. float_of_int exact.(v))
-        r.Ds_core.Query_protocol.rounds r.Ds_core.Query_protocol.messages
+        r.Ds_core.Query_protocol.rounds r.Ds_core.Query_protocol.messages;
+      `Ok ()
     end
   in
   Cmd.v
     (Cmd.info "query"
-       ~doc:
-         "Answer one distance query by in-network sketch exchange, or — \
-          with $(b,--pairs) — a batch from the compact local oracle.")
+       ~doc:"Answer one distance query by in-network sketch exchange.")
     Term.(
-      const run $ family_arg $ n_arg $ seed_arg $ k_arg $ u_arg $ v_arg
-      $ domains_arg $ pairs_arg)
+      ret
+        (const run $ family_arg $ n_arg $ seed_arg $ k_arg $ u_arg $ v_arg
+       $ domains_arg))
 
 (* ---- route ---- *)
 

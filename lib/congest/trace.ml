@@ -67,7 +67,6 @@ let rounds_logged t = t.len
 let rows t = Array.to_list (Array.sub t.rows 0 t.len)
 let sent t u = t.sent.(u)
 let received t u = t.recv.(u)
-let pool_domains t = t.pool
 
 type profile = {
   rounds : int;

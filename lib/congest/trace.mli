@@ -94,8 +94,6 @@ val sent : t -> int -> int
 val received : t -> int -> int
 (** Cumulative messages delivered to a node. *)
 
-val pool_domains : t -> int
-
 type profile = {
   rounds : int;
   messages : int;  (** total delivered *)

@@ -13,12 +13,6 @@ type report = {
   p99 : float;
 }
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "pairs=%d viol=%d unreach=%d max=%.3f avg=%.3f p50=%.3f p90=%.3f p99=%.3f"
-    r.pairs r.violations r.unreachable r.max_stretch r.avg_stretch r.p50 r.p90
-    r.p99
-
 let on_pairs ~query pairs =
   let stretches = ref [] in
   let violations = ref 0 and unreachable = ref 0 and counted = ref 0 in
@@ -67,9 +61,6 @@ let all_pairs_array apsp =
   Array.of_list !acc
 
 let all_pairs ~query apsp = on_pairs ~query (all_pairs_array apsp)
-
-let sampled_pairs ~rng ~query apsp ~count =
-  on_pairs ~query (Apsp.sample_pairs ~rng apsp ~count)
 
 (* rank.(u).(v) = number of nodes strictly closer to u than v is. *)
 let ranks apsp u =

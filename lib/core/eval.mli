@@ -17,16 +17,10 @@ type report = {
   p99 : float;
 }
 
-val pp_report : Format.formatter -> report -> unit
-
 val on_pairs : query:(int -> int -> int) -> (int * int * int) array -> report
 (** [(u, v, true-distance)] triples; pairs at distance 0 are skipped. *)
 
 val all_pairs : query:(int -> int -> int) -> Ds_graph.Apsp.t -> report
-
-val sampled_pairs :
-  rng:Ds_util.Rng.t -> query:(int -> int -> int) -> Ds_graph.Apsp.t ->
-  count:int -> report
 
 val far_pairs :
   Ds_graph.Apsp.t -> eps:float -> (int * int * int) array

@@ -95,10 +95,12 @@ let run ?pool { seed; n; k; eps; qpairs } =
       let gn = Graph.n w.Common.graph in
       (* One pair stream per topology, shared verbatim by all five
          schemes — the in-process analogue of the CLI's --pairs-file. *)
+      let flat =
+        Workload.pairs_flat ~rng:(Rng.create (seed + 101)) Workload.Uniform
+          ~n:gn ~count:qpairs
+      in
       let triples =
-        Workload.pairs ~rng:(Rng.create (seed + 101)) Workload.Uniform ~n:gn
-          ~count:qpairs
-        |> Array.to_list
+        List.init qpairs (fun i -> (flat.(2 * i), flat.((2 * i) + 1)))
         |> List.filter_map (fun (u, v) ->
                let d = Apsp.dist w.Common.apsp u v in
                if Dist.is_finite d then Some (u, v, d) else None)

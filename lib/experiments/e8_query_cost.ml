@@ -100,7 +100,10 @@ let run ?pool { seed; ns; k } =
       (* The local serving mode: both labels already co-resident in the
          compact oracle. Probes (array lookups) is its whole per-query
          cost — deterministic, so it can sit in a regenerated table. *)
-      let oracle = Oracle.of_labels built.Tz_distributed.labels in
+      let oracle =
+        Oracle.of_sketch
+          (Ds_sketch.Sketch.of_tz_labels built.Tz_distributed.labels)
+      in
       let oracle_est, oracle_probes =
         Oracle.query_probes oracle (gn / 4) (gn / 2)
       in

@@ -1,4 +1,3 @@
-module Rng = Ds_util.Rng
 module Pool = Ds_parallel.Pool
 
 type t = { n : int; rows : int array array }
@@ -26,12 +25,3 @@ let iter_pairs t f =
       f u v t.rows.(u).(v)
     done
   done
-
-let sample_pairs ~rng t ~count =
-  Array.init count (fun _ ->
-      let u = Rng.int rng t.n in
-      let v =
-        let v = Rng.int rng (t.n - 1) in
-        if v >= u then v + 1 else v
-      in
-      (u, v, t.rows.(u).(v)))

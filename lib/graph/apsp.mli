@@ -15,6 +15,3 @@ val n : t -> int
 val iter_pairs : t -> (int -> int -> int -> unit) -> unit
 (** [iter_pairs t f] calls [f u v d] for every unordered pair [u < v]. *)
 
-val sample_pairs :
-  rng:Ds_util.Rng.t -> t -> count:int -> (int * int * int) array
-(** Random distinct-pair sample [(u, v, d)] for large graphs. *)

@@ -1,7 +1,6 @@
-let run g ~src =
+let hops g ~src =
   let n = Graph.n g in
   let dist = Array.make n max_int in
-  let parent = Array.make n (-1) in
   let q = Queue.create () in
   dist.(src) <- 0;
   Queue.push src q;
@@ -10,14 +9,10 @@ let run g ~src =
     Graph.iter_neighbors g u (fun v _ ->
         if dist.(v) = max_int then begin
           dist.(v) <- dist.(u) + 1;
-          parent.(v) <- u;
           Queue.push v q
         end)
   done;
-  (dist, parent)
-
-let hops g ~src = fst (run g ~src)
-let tree g ~src = snd (run g ~src)
+  dist
 
 let eccentricity g ~src =
   let dist = hops g ~src in

@@ -3,8 +3,5 @@
 val hops : Graph.t -> src:int -> int array
 (** Hop distances from [src]; [max_int] if unreachable. *)
 
-val tree : Graph.t -> src:int -> int array
-(** BFS-tree parents; [-1] for [src] and unreachable nodes. *)
-
 val eccentricity : Graph.t -> src:int -> int
 (** Maximum finite hop distance from [src]. *)

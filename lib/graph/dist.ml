@@ -6,6 +6,4 @@ let add a b = if a >= infinity || b >= infinity then infinity else a + b
 
 let lex_lt (d1, id1) (d2, id2) = d1 < d2 || (d1 = d2 && id1 < id2)
 
-let lex_min a b = if lex_lt a b then a else b
-
 let none = (infinity, max_int)

@@ -18,7 +18,7 @@ val lex_lt : int * int -> int * int -> bool
 (** [lex_lt (d1, id1) (d2, id2)] is the strict lexicographic order on
     (distance, node-ID) pairs used for all tie-broken comparisons. *)
 
-val lex_min : int * int -> int * int -> int * int
-
 val none : int * int
-(** The identity for {!lex_min}: [(infinity, max_int)]. *)
+(** [(infinity, max_int)]: greater under {!lex_lt} than any
+    (distance, node-ID) pair with a finite distance — "no candidate
+    yet". *)

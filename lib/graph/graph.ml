@@ -61,26 +61,10 @@ let n t = t.n
 let m t = t.m
 let degree t u = t.idx.(u + 1) - t.idx.(u)
 
-let max_degree t =
-  let best = ref 0 in
-  for u = 0 to t.n - 1 do
-    if degree t u > !best then best := degree t u
-  done;
-  !best
-
 let iter_neighbors t u f =
   for i = t.idx.(u) to t.idx.(u + 1) - 1 do
     f t.adj.(i) t.wgt.(i)
   done
-
-let fold_neighbors t u f init =
-  let acc = ref init in
-  iter_neighbors t u (fun v w -> acc := f !acc v w);
-  !acc
-
-let neighbors t u =
-  Array.init (degree t u) (fun i ->
-      (t.adj.(t.idx.(u) + i), t.wgt.(t.idx.(u) + i)))
 
 let neighbor_at t u i = (t.adj.(t.idx.(u) + i), t.wgt.(t.idx.(u) + i))
 let neighbor_node t u i = t.adj.(t.idx.(u) + i)
@@ -111,8 +95,6 @@ let edges t =
     iter_neighbors t u (fun v w -> if u < v then acc := (u, v, w) :: !acc)
   done;
   !acc
-
-let total_weight t = List.fold_left (fun s (_, _, w) -> s + w) 0 (edges t)
 
 (* Streaming construction for million-node graphs. [of_edges] goes
    through an edge list and a dedup hashtable — boxed triples, list

@@ -19,16 +19,9 @@ val m : t -> int
 
 val degree : t -> int -> int
 
-val max_degree : t -> int
-
 val iter_neighbors : t -> int -> (int -> int -> unit) -> unit
 (** [iter_neighbors g u f] calls [f v w] for each edge [(u, v)] of
     weight [w]. *)
-
-val fold_neighbors : t -> int -> ('a -> int -> int -> 'a) -> 'a -> 'a
-
-val neighbors : t -> int -> (int * int) array
-(** Fresh array of [(neighbor, weight)] pairs. *)
 
 val neighbor_at : t -> int -> int -> int * int
 (** [neighbor_at g u i] is the [i]-th incident [(neighbor, weight)] of
@@ -54,8 +47,6 @@ val has_edge : t -> int -> int -> bool
 
 val edges : t -> (int * int * int) list
 (** Each undirected edge once, with [u < v]. *)
-
-val total_weight : t -> int
 
 (** Streaming CSR construction for large graphs. [of_edges] routes
     every edge through an OCaml list and a dedup hashtable — fine at

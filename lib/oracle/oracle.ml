@@ -7,13 +7,10 @@ module Sketch = Ds_sketch.Sketch
 type t = Sketch.t
 
 let of_sketch s = s
-let of_labels labels = Sketch.of_tz_labels labels
 let of_store (s : Sketch_store.t) = s.Sketch_store.sketch
-let sketch t = t
 
 let family = Sketch.family
 let n = Sketch.n
-let k = Sketch.k
 let size_words = Sketch.size_words
 
 let bunch_dist t u w =
@@ -24,9 +21,9 @@ let query = Sketch.estimate
 let query_bidirectional = Sketch.estimate_bidirectional
 let query_probes = Sketch.estimate_probes
 
-(* Obs hooks shared by both batch entry points: one add per chunk
-   (not per query) on the chunk's own shard, to the total counter and
-   to this oracle's family breakdown. *)
+(* Obs hooks for the batch path: one add per chunk (not per query) on
+   the chunk's own shard, to the total counter and to this oracle's
+   family breakdown. *)
 let obs_queries t = function
   | None -> None
   | Some registry ->
@@ -43,31 +40,13 @@ let count qc ~shard n =
     Ds_obs.Obs.add fam ~shard n
   | None -> ()
 
-let query_batch ?(pool = Pool.sequential) ?obs t pairs =
-  let m = Array.length pairs in
-  let out = Array.make m 0 in
-  let qc = obs_queries t obs in
-  (* One tight loop per domain, not one closure dispatch per pair:
-     [parallel_for]'s per-index call was most of the per-query cost at
-     ~150ns a query, which is why batch throughput used to stay flat
-     as domains were added. *)
-  ignore
-    (Pool.parallel_chunks pool ~n:m (fun c lo hi ->
-         for i = lo to hi - 1 do
-           let u, v = pairs.(i) in
-           out.(i) <- query t u v
-         done;
-         count qc ~shard:c (hi - lo)));
-  out
-
-(* The boxed-pairs batch above still did not scale past one domain
-   (B12 stayed ~flat 1 -> 8 domains): every iteration loads a [(u,v)]
-   pointer and then the tuple's two fields — a dependent cache miss per
-   pair into an array the domains share — and adjacent chunks share
-   cache lines of [out] at their boundaries. The flat path removes
-   both: endpoints live inline in one int array ([u] at [2i], [v] at
-   [2i+1]), and work is handed out in blocks of 8 pairs so every
-   chunk's [out] writes are 64-byte aligned — no false sharing. *)
+(* One tight loop per domain, not one closure dispatch per pair
+   ([parallel_for]'s per-index call was most of the per-query cost at
+   ~150ns a query). Endpoints live inline in one int array ([u] at
+   [2i], [v] at [2i+1]), not as [(u,v)] tuples whose pointer chase
+   cost a dependent cache miss per pair, and work is handed out in
+   blocks of 8 pairs so every chunk's [out] writes are 64-byte
+   aligned — no false sharing at chunk boundaries. *)
 let query_batch_flat ?(pool = Pool.sequential) ?obs t flat =
   let len = Array.length flat in
   if len land 1 <> 0 then invalid_arg "Oracle.query_batch_flat: odd length";
@@ -93,31 +72,6 @@ type batch_stats = {
 
 let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
-let batch_stats_of ~m ~elapsed_ns ~lat ~sample =
-  {
-    pairs = m;
-    elapsed_ns;
-    qps = float_of_int m /. (elapsed_ns /. 1e9);
-    latency_ns = Stats.summarize (if sample = 0 then [| 0.0 |] else lat);
-  }
-
-let run_batch ?pool ?obs ?(latency_sample = 1024) t pairs =
-  let m = Array.length pairs in
-  let t0 = now_ns () in
-  let out = query_batch ?pool ?obs t pairs in
-  let t1 = now_ns () in
-  let elapsed_ns = max 1.0 (t1 -. t0) in
-  let sample = min latency_sample m in
-  let lat =
-    Array.init sample (fun i ->
-        (* Stride across the batch so the sample sees its whole mix. *)
-        let u, v = pairs.(i * m / max 1 sample) in
-        let s0 = now_ns () in
-        ignore (query t u v);
-        now_ns () -. s0)
-  in
-  (out, batch_stats_of ~m ~elapsed_ns ~lat ~sample)
-
 let run_batch_flat ?pool ?obs ?(latency_sample = 1024) t flat =
   let m = Array.length flat / 2 in
   let t0 = now_ns () in
@@ -127,10 +81,17 @@ let run_batch_flat ?pool ?obs ?(latency_sample = 1024) t flat =
   let sample = min latency_sample m in
   let lat =
     Array.init sample (fun i ->
+        (* Stride across the batch so the sample sees its whole mix. *)
         let j = i * m / max 1 sample in
         let u = flat.(2 * j) and v = flat.((2 * j) + 1) in
         let s0 = now_ns () in
         ignore (query t u v);
         now_ns () -. s0)
   in
-  (out, batch_stats_of ~m ~elapsed_ns ~lat ~sample)
+  ( out,
+    {
+      pairs = m;
+      elapsed_ns;
+      qps = float_of_int m /. (elapsed_ns /. 1e9);
+      latency_ns = Stats.summarize (if sample = 0 then [| 0.0 |] else lat);
+    } )

@@ -6,7 +6,7 @@
     the Thorup–Zwick level scan, or the common-entry minimum for
     landmark / bottom-k sketches. Queries are answered from flat int
     arrays with no hashing, no boxing and no per-query allocation, and
-    {!query_batch} fans a pair array out across a
+    {!query_batch_flat} fans a flat pair array out across a
     {!Ds_parallel.Pool} with one result slot per index, so answers
     are bit-identical under any pool size.
 
@@ -16,28 +16,19 @@
 
 type t
 
-val of_labels : Ds_core.Label.t array -> t
-(** Compile a Thorup–Zwick label set (family [tz]). Requires
-    [labels.(i).owner = i] and a uniform [k]; raises
-    [Invalid_argument] otherwise. *)
-
 val of_sketch : Ds_sketch.Sketch.t -> t
-(** Serve any built sketch set — the family-polymorphic entry. *)
+(** Serve any built sketch set — the family-polymorphic entry. A
+    Thorup–Zwick label set goes through
+    {!Ds_sketch.Sketch.of_tz_labels} first. *)
 
 val of_store : Sketch_store.t -> t
 (** Compile a loaded snapshot — the serving process's whole startup
     path: [load] then [of_store], any family. *)
 
-val sketch : t -> Ds_sketch.Sketch.t
-(** The underlying sketch set. *)
-
 val family : t -> Ds_sketch.Family.t
 
 val n : t -> int
 (** Node count; valid query endpoints are [0 .. n-1]. *)
-
-val k : t -> int
-(** Depth (tz) / bottom-k parameter / iteration count. *)
 
 val size_words : t -> int
 (** Total size in the paper's units: the sum of per-node sketch sizes. *)
@@ -61,23 +52,17 @@ val query_probes : t -> int -> int -> int * int
     experiment E8 to put the local oracle next to the in-network
     exchange without a wall clock. *)
 
-val query_batch :
-  ?pool:Ds_parallel.Pool.t -> ?obs:Ds_obs.Obs.t -> t -> (int * int) array ->
-  int array
-(** Answer every pair, fanning out across the pool (default
-    sequential). Result slot [i] depends only on pair [i], so the
-    output is identical for every pool size. [obs] counts answered
-    queries on the [oracle.queries] counter and on the per-family
-    [oracle.queries{family=…}] breakdown, one add each per chunk. *)
-
 val query_batch_flat :
   ?pool:Ds_parallel.Pool.t -> ?obs:Ds_obs.Obs.t -> t -> int array -> int array
-(** Same as {!query_batch} over the flat layout of
-    {!Workload.pairs_flat} (pair [i] at indices [2i], [2i+1]); the fast
-    path. Endpoints are inline ints (no tuple pointer chase) and work
-    is dealt in 8-pair blocks, so each domain's result writes are
-    cache-line aligned — this is what let batch throughput actually
-    scale with the pool (bench B12). Raises [Invalid_argument] on an
+(** Answer every pair of the flat layout of {!Workload.pairs_flat}
+    (pair [i] at indices [2i], [2i+1]), fanning out across the pool
+    (default sequential). Result slot [i] depends only on pair [i], so
+    the output is identical for every pool size. Endpoints are inline
+    ints (no tuple pointer chase) and work is dealt in 8-pair blocks,
+    so each domain's result writes are cache-line aligned (bench
+    B12). [obs] counts answered queries on the [oracle.queries]
+    counter and on the per-family [oracle.queries{family=…}]
+    breakdown, one add each per chunk. Raises [Invalid_argument] on an
     odd-length array. *)
 
 type batch_stats = {
@@ -90,18 +75,6 @@ type batch_stats = {
           loop would perturb it) *)
 }
 
-val run_batch :
-  ?pool:Ds_parallel.Pool.t ->
-  ?obs:Ds_obs.Obs.t ->
-  ?latency_sample:int ->
-  t ->
-  (int * int) array ->
-  int array * batch_stats
-(** {!query_batch} plus timing: the whole batch is timed once for
-    throughput, then up to [latency_sample] (default 1024) queries are
-    re-run sequentially one-by-one for the latency distribution. The
-    returned answers are those of the parallel run. *)
-
 val run_batch_flat :
   ?pool:Ds_parallel.Pool.t ->
   ?obs:Ds_obs.Obs.t ->
@@ -109,5 +82,7 @@ val run_batch_flat :
   t ->
   int array ->
   int array * batch_stats
-(** {!run_batch} over the flat pair layout — the serving path the CLI
-    uses. *)
+(** {!query_batch_flat} plus timing: the whole batch is timed once for
+    throughput, then up to [latency_sample] (default 1024) queries are
+    re-run sequentially one-by-one for the latency distribution. The
+    returned answers are those of the parallel run. *)

@@ -1,4 +1,3 @@
-module Label = Ds_core.Label
 module Family = Ds_sketch.Family
 module Sketch = Ds_sketch.Sketch
 
@@ -37,11 +36,6 @@ let v ?(seed = 0) ?(graph_family = "") sketch =
     load_mode = Heap;
   }
 
-let of_labels ?seed ?graph_family labels =
-  if Array.length labels = 0 then
-    invalid_arg "Sketch_store.of_labels: empty label set";
-  v ?seed ?graph_family (Sketch.of_tz_labels labels)
-
 let mapped_bytes t = Sketch.mapped_bytes t.sketch
 
 (* FNV-1a, 64-bit. *)
@@ -61,19 +55,20 @@ let add_padded_string b s =
   Buffer.add_string b s;
   Buffer.add_string b (String.make (pad8 (String.length s)) '\000')
 
-(* Canonical section order, shared by every version's writer:
-   offsets, interleaved (dist, node) pivot pairs, interleaved
-   (node, dist) entry pairs. Backing-independent — serialising a
-   mapped store streams the very words it was mapped from. *)
-let add_sections (s : Sketch.t) ~word = Sketch.iter_section_words s word
-
-(* Common header prefix: magic through the two padded family
-   strings. Returns the buffer positioned right after the graph
-   family, i.e. at the pivot-words field. *)
-let add_header_prefix b ~ver ~meta:{ n; k; seed; graph_family; sketch_family } =
+(* Header through the two padded family strings, the pivot-words
+   and total fields, then a checksum over the header alone, so the
+   mmap loader can validate everything it parses eagerly in O(1)
+   without touching the payload pages. After it come the sections in
+   canonical order: offsets, interleaved (dist, node) pivot pairs,
+   interleaved (node, dist) entry pairs. Backing-independent —
+   serialising a mapped store streams the very words it was mapped
+   from. *)
+let to_bytes t =
+  let { n; k; seed; graph_family; sketch_family } = t.meta in
+  let b = Buffer.create 4096 in
   let word i = Buffer.add_int64_le b (Int64.of_int i) in
   Buffer.add_string b magic;
-  word ver;
+  word version;
   word n;
   word k;
   word seed;
@@ -81,59 +76,21 @@ let add_header_prefix b ~ver ~meta:{ n; k; seed; graph_family; sketch_family } =
   word (String.length sf);
   add_padded_string b sf;
   word (String.length graph_family);
-  add_padded_string b graph_family
-
-let to_bytes t =
-  let b = Buffer.create 4096 in
-  let word i = Buffer.add_int64_le b (Int64.of_int i) in
-  add_header_prefix b ~ver:version ~meta:t.meta;
+  add_padded_string b graph_family;
   word (2 * Sketch.pivot_pairs t.sketch);
   word (Sketch.total_entries t.sketch);
-  (* v3: a checksum over the header alone, so the mmap loader can
-     validate everything it parses eagerly in O(1) without touching
-     the payload pages. *)
   Buffer.add_int64_le b (fnv1a64 (Buffer.contents b));
-  add_sections t.sketch ~word;
+  Sketch.iter_section_words t.sketch word;
   let payload = Buffer.contents b in
   Buffer.add_int64_le b (fnv1a64 payload);
   Buffer.contents b
 
-let to_bytes_v2 t =
-  let b = Buffer.create 4096 in
-  let word i = Buffer.add_int64_le b (Int64.of_int i) in
-  add_header_prefix b ~ver:2 ~meta:t.meta;
-  word (2 * Sketch.pivot_pairs t.sketch);
-  add_sections t.sketch ~word;
-  let payload = Buffer.contents b in
-  Buffer.add_int64_le b (fnv1a64 payload);
-  Buffer.contents b
-
-let to_bytes_v1 t =
-  let { n; k; seed; graph_family; sketch_family } = t.meta in
-  if sketch_family <> Family.Tz then
-    invalid_arg "Sketch_store.to_bytes_v1: only family tz has a v1 layout";
-  let b = Buffer.create 4096 in
-  let word i = Buffer.add_int64_le b (Int64.of_int i) in
-  Buffer.add_string b magic;
-  word 1;
-  word n;
-  word k;
-  word seed;
-  (* v1's lone family field was the graph family. *)
-  word (String.length graph_family);
-  add_padded_string b graph_family;
-  add_sections t.sketch ~word;
-  let payload = Buffer.contents b in
-  Buffer.add_int64_le b (fnv1a64 payload);
-  Buffer.contents b
-
-(* Shared by the heap reader paths: the offset table, optional pivot
-   section and entry section that follow the version-specific header,
-   starting at byte [body]. [pivot_words] is [2nk] (v1, tz) or
-   whatever the v2/v3 header declared; [declared_total] is the v3
-   header's entry total, cross-checked against the offsets. *)
-let read_sections s ~len ~body ~n ~k ~pivot_words ?declared_total
-    ~sketch_family () =
+(* The heap reader's section pass: the offset table, pivot section
+   and entry section that follow the header, starting at byte [body].
+   [pivot_words] and [declared_total] are what the header declared;
+   the total is cross-checked against the offsets. *)
+let read_sections s ~len ~body ~n ~k ~pivot_words ~declared_total
+    ~sketch_family =
   let word off = Int64.to_int (String.get_int64_le s off) in
   if len < body + (8 * (n + 1)) then
     error "truncated snapshot: offset table cut short (%d bytes)" len;
@@ -144,11 +101,9 @@ let read_sections s ~len ~body ~n ~k ~pivot_words ?declared_total
       error "corrupt bunch offsets: not monotone at node %d" i
   done;
   let total = off.(n) in
-  (match declared_total with
-  | Some d when d <> total ->
-    error "corrupt snapshot: header entry total %d disagrees with offsets %d" d
-      total
-  | _ -> ());
+  if declared_total <> total then
+    error "corrupt snapshot: header entry total %d disagrees with offsets %d"
+      declared_total total;
   let pivots_at = body + (8 * (n + 1)) in
   let ents_at = pivots_at + (8 * pivot_words) in
   let expected = ents_at + (8 * 2 * total) + 8 in
@@ -188,16 +143,15 @@ let read_sections s ~len ~body ~n ~k ~pivot_words ?declared_total
   | sketch -> sketch
   | exception Invalid_argument m -> error "corrupt snapshot: %s" m
 
-(* Version-agnostic header parse over a prefix string [s] of the file
-   ([avail] bytes of it; [file_len] is the whole file). Returns the
-   parsed meta, the declared pivot/total words (v3), the byte offset
-   where the sections begin, and the version. Validates the v3 header
-   checksum — everything the mmap loader trusts eagerly. *)
+(* Header parse over a prefix string [s] of the file ([avail] bytes
+   of it). Returns the parsed meta, the declared pivot and entry
+   totals and the byte offset where the sections begin, after
+   checking the header checksum — everything the mmap loader trusts
+   eagerly. *)
 type header = {
-  h_ver : int;
   h_meta : meta;
   h_pivot_words : int;
-  h_total : int;  (* -1 before v3 *)
+  h_total : int;
   h_body : int;
 }
 
@@ -207,8 +161,8 @@ let parse_header s ~avail =
     error "bad magic %S: not a distsketch snapshot" (String.sub s 0 8);
   let word off = Int64.to_int (String.get_int64_le s off) in
   let ver = word 8 in
-  if ver <> 1 && ver <> 2 && ver <> version then
-    error "unsupported snapshot version %d (this reader expects <= %d)" ver
+  if ver <> version then
+    error "unsupported snapshot version %d (this reader reads only %d)" ver
       version;
   if avail < 48 then error "truncated snapshot header: %d bytes" avail;
   let n = word 16 and k = word 24 and seed = word 32 in
@@ -219,74 +173,68 @@ let parse_header s ~avail =
       error "bad snapshot header: family length %d" slen;
     (String.sub s (at + 8) slen, at + 8 + slen + pad8 slen)
   in
-  if ver = 1 then begin
-    (* v1: one family string — the graph family — then the
-       unconditional tz pivot section. *)
-    let graph_family, body = read_string 40 in
-    {
-      h_ver = 1;
-      h_meta = { n; k; seed; graph_family; sketch_family = Family.Tz };
-      h_pivot_words = 2 * n * k;
-      h_total = -1;
-      h_body = body;
-    }
-  end
-  else begin
-    let sf_name, after_sf = read_string 40 in
-    let sketch_family =
-      match Family.of_string sf_name with
-      | Ok f -> f
-      | Error _ -> error "unknown sketch family %S in snapshot header" sf_name
-    in
-    let graph_family, after_gf = read_string after_sf in
-    let tail_words = if ver = 2 then 8 else 24 in
-    if avail < after_gf + tail_words then
-      error "truncated snapshot header: %d bytes" avail;
-    let pivot_words = word after_gf in
-    let want_pivots = if sketch_family = Family.Tz then 2 * n * k else 0 in
-    if pivot_words <> want_pivots then
-      error "bad snapshot header: pivot section %d words, family %s wants %d"
-        pivot_words sf_name want_pivots;
-    let total =
-      if ver = 2 then -1
-      else begin
-        let total = word (after_gf + 8) in
-        if total < 0 then error "bad snapshot header: entry total %d" total;
-        let stored = String.get_int64_le s (after_gf + 16) in
-        let computed = fnv1a64 (String.sub s 0 (after_gf + 16)) in
-        if stored <> computed then
-          error
-            "header checksum mismatch: stored %Lx, computed %Lx — corrupt \
-             snapshot header"
-            stored computed;
-        total
-      end
-    in
-    {
-      h_ver = ver;
-      h_meta = { n; k; seed; graph_family; sketch_family };
-      h_pivot_words = pivot_words;
-      h_total = total;
-      h_body = (after_gf + tail_words);
-    }
-  end
+  let sf_name, after_sf = read_string 40 in
+  let sketch_family =
+    match Family.of_string sf_name with
+    | Ok f -> f
+    | Error _ -> error "unknown sketch family %S in snapshot header" sf_name
+  in
+  let graph_family, after_gf = read_string after_sf in
+  if avail < after_gf + 24 then
+    error "truncated snapshot header: %d bytes" avail;
+  let pivot_words = word after_gf in
+  let want_pivots = if sketch_family = Family.Tz then 2 * n * k else 0 in
+  if pivot_words <> want_pivots then
+    error "bad snapshot header: pivot section %d words, family %s wants %d"
+      pivot_words sf_name want_pivots;
+  let total = word (after_gf + 8) in
+  if total < 0 then error "bad snapshot header: entry total %d" total;
+  let stored = String.get_int64_le s (after_gf + 16) in
+  let computed = fnv1a64 (String.sub s 0 (after_gf + 16)) in
+  if stored <> computed then
+    error
+      "header checksum mismatch: stored %Lx, computed %Lx — corrupt snapshot \
+       header"
+      stored computed;
+  {
+    h_meta = { n; k; seed; graph_family; sketch_family };
+    h_pivot_words = pivot_words;
+    h_total = total;
+    h_body = after_gf + 24;
+  }
 
 let of_bytes s =
   let len = String.length s in
   let h = parse_header s ~avail:len in
-  let declared_total = if h.h_total >= 0 then Some h.h_total else None in
   let sketch =
     read_sections s ~len ~body:h.h_body ~n:h.h_meta.n ~k:h.h_meta.k
-      ~pivot_words:h.h_pivot_words ?declared_total
-      ~sketch_family:h.h_meta.sketch_family ()
+      ~pivot_words:h.h_pivot_words ~declared_total:h.h_total
+      ~sketch_family:h.h_meta.sketch_family
   in
   { meta = h.h_meta; sketch; load_mode = Heap }
 
+(* Write a sibling temp file, flush it to disk, then rename it over
+   [path]. The rename swaps the directory entry only: a process that
+   has the old file mapped keeps the old inode, untouched, and a
+   reader never sees a half-written snapshot. *)
 let save path t =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_bytes t))
+  let bytes = to_bytes t in
+  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
+  let fd =
+    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o666
+  in
+  match
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+        Unix.fsync fd);
+    Unix.rename tmp path
+  with
+  | () -> ()
+  | exception e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
 
 (* Header prefix large enough for any header this writer produces
    (the two family strings are the only variable-length fields). *)
@@ -301,19 +249,11 @@ let load_mmap path =
         let size = in_channel_length ic in
         (size, really_input_string ic (min size max_header_bytes)))
   in
-  if size < 16 then error "truncated snapshot: %d bytes, no header" size;
+  let h = parse_header prefix ~avail:(String.length prefix) in
   if size land 7 <> 0 then
     error "misaligned snapshot: %d bytes is not a multiple of 8 — cannot map"
       size;
-  let h = parse_header prefix ~avail:(String.length prefix) in
-  if h.h_ver < version then
-    error
-      "snapshot version %d predates the mappable v3 layout — heap-load and \
-       re-save to upgrade"
-      h.h_ver;
   let { n; k; _ } = h.h_meta in
-  if h.h_body land 7 <> 0 then
-    error "misaligned snapshot: sections start at byte %d" h.h_body;
   let expected =
     h.h_body + (8 * (n + 1)) + (8 * h.h_pivot_words) + (8 * 2 * h.h_total) + 8
   in

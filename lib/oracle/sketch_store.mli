@@ -6,29 +6,27 @@
     is
 
     - {b versioned}: an 8-byte magic plus a version word, so a stale
-      reader fails loudly instead of misparsing. This build writes
-      version 3 (mappable) and still reads version 2 (the
-      family-polymorphic layout) and version 1 (the pre-platform
-      Thorup–Zwick-only layout, loaded as sketch family [tz]);
+      reader fails loudly instead of misparsing. This build reads and
+      writes version 3 only; any other version word raises {!Error};
     - {b checksummed}: the last 8 bytes are an FNV-1a64 digest of
       everything before them, so truncation and bit rot are detected
-      on (heap) load; v3 additionally carries a header-only digest so
-      the mmap fast path can validate everything it parses eagerly
-      without touching the payload pages;
+      on (heap) load; the header carries its own digest so the mmap
+      fast path can validate everything it parses eagerly without
+      touching the payload pages;
     - {b byte-deterministic}: equal stores serialize to equal bytes —
       entries are written in the {!Ds_sketch.Sketch} canonical order
       (sorted by node id within each owner) and every integer is a
       fixed-width little-endian 64-bit word, so [save] ∘ [load] ∘
       [save] is the identity on bytes (in either load mode) and
       snapshots diff cleanly in CI;
-    - {b mappable} (v3): every section starts on an 8-byte boundary
+    - {b mappable}: every section starts on an 8-byte boundary
       and the header declares the section extents up front, so
       {!load}[ ~mode:Mmap] serves queries straight out of a
       [Unix.map_file] word window — no copy, O(header + n) start-up,
       the page cache is the working set and is shared across
       processes serving the same snapshot.
 
-    Version-3 byte layout (all integers u64 LE):
+    Byte layout (all integers u64 LE):
     {v
     0      magic "DSKETCH1"                  (8 bytes)
     8      version                           (currently 3)
@@ -49,16 +47,11 @@
     end-8  FNV-1a64 checksum of all preceding bytes
     v}
 
-    Version 2 is the same minus the [total] and [header_fnv] fields;
-    version 1 is v2 minus the sketch-family and pivot-words fields —
-    its single [family] string was the {e graph} family (the field
-    rename is why v2+ carry both), and its pivot section is
-    unconditional. TZ bunch levels are analysis metadata and are not
-    persisted in any version.
+    TZ bunch levels are analysis metadata and are not persisted.
 
     Trust model per mode: [Heap] reads the whole file, verifies the
     trailing checksum and every structural invariant, and copies into
-    fresh arrays — bit rot anywhere is detected. [Mmap] (v3 only)
+    fresh arrays — bit rot anywhere is detected. [Mmap]
     verifies the header digest, the declared extents against the file
     size (including 8-byte alignment) and the full offset table — so
     a malformed file raises {!Error} and no query can index outside
@@ -91,18 +84,11 @@ val v : ?seed:int -> ?graph_family:string -> Ds_sketch.Sketch.t -> t
 (** Wrap a built sketch set of any family; [meta] is derived from the
     sketch plus the provenance arguments. *)
 
-val of_labels :
-  ?seed:int -> ?graph_family:string -> Ds_core.Label.t array -> t
-(** Convenience for the Thorup–Zwick path: compile the labels with
-    {!Ds_sketch.Sketch.of_tz_labels} and wrap. Raises
-    [Invalid_argument] on an empty label set, a non-uniform [k], or
-    [labels.(i).owner <> i]. *)
-
 val magic : string
 (** The 8-byte file magic (["DSKETCH1"]). *)
 
 val version : int
-(** The format version this build writes (3). *)
+(** The only format version this build reads and writes (3). *)
 
 val mode_name : mode -> string
 (** ["heap"] / ["mmap"] — for artifact metadata. *)
@@ -116,32 +102,25 @@ val to_bytes : t -> string
     with {!Ds_sketch.Sketch.equal} sketches and equal meta produce
     identical bytes, whichever backing the sketch has. *)
 
-val to_bytes_v2 : t -> string
-(** Serialize to the legacy version-2 layout, so the v2 reader path
-    stays testable without fixture files. *)
-
-val to_bytes_v1 : t -> string
-(** Serialize to the legacy version-1 layout ([sketch_family] must be
-    [Tz]; raises [Invalid_argument] otherwise). Exists so the
-    backward-compat path stays testable without fixture files: v1
-    bytes written today are read back like any historical snapshot. *)
-
 val of_bytes : string -> t
-(** Inverse of {!to_bytes}; also accepts version-1 and version-2
-    bytes (v1 loads with [sketch_family = Tz] and the v1 family
-    string as [graph_family]). Raises {!Error} on malformed input.
-    Always heap-backed. *)
+(** Inverse of {!to_bytes}. Raises {!Error} on malformed input,
+    including any version word other than {!version}. Always
+    heap-backed. *)
 
 val save : string -> t -> unit
-(** [save path t] writes [to_bytes t] atomically-ish (binary mode,
-    single write). *)
+(** [save path t] writes [to_bytes t] to [PATH.tmp.<pid>] in the same
+    directory, fsyncs it and renames it over [path]. A reader sees the
+    old file or the new one, never a partial write, and a file already
+    mapped by {!load}[ ~mode:Mmap] is never modified in place: the
+    mapping keeps serving the old snapshot. The temp file is removed
+    on failure. Raises [Unix.Unix_error] if the file cannot be
+    written. *)
 
 val load : ?mode:mode -> string -> t
 (** [load path] reads a snapshot. [~mode:Heap] (default) reads and
     {!of_bytes}. [~mode:Mmap] maps the file and serves the payload
-    zero-copy; requires a v3 snapshot (older versions raise {!Error}
-    telling the caller to heap-load and re-save). Raises {!Error} on
-    malformed contents and [Sys_error] if the file cannot be read. *)
+    zero-copy. Raises {!Error} on malformed contents and [Sys_error]
+    if the file cannot be read. *)
 
 val fnv1a64 : string -> int64
 (** The checksum function (FNV-1a, 64-bit), exposed so tests can pin

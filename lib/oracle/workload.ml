@@ -44,23 +44,8 @@ let draw_of ~rng kind ~n =
   | Uniform -> fun rng -> Rng.int rng n
   | Zipf { alpha } -> zipf_sampler ~rng ~n ~alpha
 
-let pairs ~rng kind ~n ~count =
-  if n < 2 then invalid_arg "Workload.pairs: need n >= 2";
-  if count < 0 then invalid_arg "Workload.pairs: negative count";
-  let draw = draw_of ~rng kind ~n in
-  Array.init count (fun _ ->
-      let u = draw rng in
-      let v0 = draw rng in
-      (* Skewed draws collide often; resolve collisions with a uniform
-         shift instead of a rejection loop, so one pair costs exactly
-         two or three draws. *)
-      let v = if v0 = u then (u + 1 + Rng.int rng (n - 1)) mod n else v0 in
-      (u, v))
-
-(* Same stream, flat layout: pair [i] is [(flat.(2i), flat.(2i+1))].
-   This is what {!Oracle.query_batch_flat} wants — no tuple boxing on
-   the serving path. Identical RNG consumption to {!pairs}, so the two
-   layouts generate the same workload for a given seed. *)
+(* Pair [i] is [(flat.(2i), flat.(2i+1))]: no tuple boxing on the
+   serving path. *)
 let pairs_flat ~rng kind ~n ~count =
   if n < 2 then invalid_arg "Workload.pairs_flat: need n >= 2";
   if count < 0 then invalid_arg "Workload.pairs_flat: negative count";
@@ -69,6 +54,9 @@ let pairs_flat ~rng kind ~n ~count =
   for i = 0 to count - 1 do
     let u = draw rng in
     let v0 = draw rng in
+    (* Skewed draws collide often; resolve collisions with a uniform
+       shift instead of a rejection loop, so one pair costs exactly
+       two or three draws. *)
     let v = if v0 = u then (u + 1 + Rng.int rng (n - 1)) mod n else v0 in
     flat.(2 * i) <- u;
     flat.((2 * i) + 1) <- v

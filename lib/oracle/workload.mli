@@ -24,17 +24,12 @@ val name : kind -> string
 (** Display name, e.g. ["uniform"] / ["zipf(1.20)"] — what artifacts
     record in their [workload] field. *)
 
-val pairs :
-  rng:Ds_util.Rng.t -> kind -> n:int -> count:int -> (int * int) array
-(** [pairs ~rng kind ~n ~count] draws [count] query pairs [(u, v)]
-    with [0 <= u, v < n] and [u <> v]. Requires [n >= 2] and
-    [count >= 0]. *)
-
 val pairs_flat : rng:Ds_util.Rng.t -> kind -> n:int -> count:int -> int array
-(** Same stream as {!pairs} (identical RNG consumption, so the same
-    seed yields the same workload), laid out flat: pair [i] is
-    [(flat.(2i), flat.(2i+1))]. The layout {!Oracle.query_batch_flat}
-    consumes without boxing. *)
+(** [pairs_flat ~rng kind ~n ~count] draws [count] query pairs
+    [(u, v)] with [0 <= u, v < n] and [u <> v], laid out flat: pair
+    [i] is [(flat.(2i), flat.(2i+1))] — the layout
+    {!Oracle.query_batch_flat} consumes without boxing. Requires
+    [n >= 2] and [count >= 0]. *)
 
 val save_pairs : string -> int array -> unit
 (** [save_pairs path flat] writes a flat pair array as one ["u v"]

@@ -38,7 +38,6 @@ let pivot_pairs t = if t.family = Family.Tz then t.n * t.k else 0
 let mapped_bytes t =
   match t.backing with Heap _ -> 0 | Mapped m -> 8 * A1.dim m.m_buf
 
-let backing_name t = match t.backing with Heap _ -> "heap" | Mapped _ -> "mapped"
 let size_words t = (2 * pivot_pairs t) + (2 * t.total)
 
 (* ------------------------------------------------------------------ *)
@@ -111,11 +110,15 @@ let check_entry_order ~who ~n ~off ~ent_node ~ent_dist =
 
 (* Every finite pivot's node must be a valid index: the query kernels
    binary-search for it with unchecked accesses, and [of_mapped]
-   relies on this pass so no mapped query can escape the window. *)
+   relies on this pass so no mapped query can escape the window. A
+   negative distance would be served as a negative estimate. *)
 let validate_pivots ~who ~family ~n ~k ~pdist ~pnode =
   if family = Family.Tz then
     for j = 0 to (n * k) - 1 do
-      if Dist.is_finite (pdist j) then begin
+      let d = pdist j in
+      if d < 0 then
+        invalid_arg (Printf.sprintf "%s: negative pivot distance %d" who d);
+      if Dist.is_finite d then begin
         let p = pnode j in
         if p < 0 || p >= n then
           invalid_arg (Printf.sprintf "%s: pivot node %d out of range" who p)

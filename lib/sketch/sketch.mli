@@ -12,7 +12,7 @@
     the other two.
 
     The payload lives behind one of two backings: plain heap [int
-    array]s (built sketches, v1/v2/v3 heap loads) or a [Bigarray]
+    array]s (built sketches, heap snapshot loads) or a [Bigarray]
     word window mapped straight over a v3 snapshot file
     ([Sketch_store.load ~mode:Mmap] — zero copies, the page cache is
     the working set). The hot estimators are compiled once per backing
@@ -52,8 +52,9 @@ val of_arrays :
   t
 (** Validating constructor over the flat arrays themselves — the
     heap snapshot-load path. Checks array-length coherence, offset
-    monotonicity, per-slice entry order and (for [Tz]) that every
-    finite pivot names an in-range node; raises [Invalid_argument]
+    monotonicity, per-slice entry order and (for [Tz]) that no pivot
+    distance is negative and every finite pivot names an in-range
+    node; raises [Invalid_argument]
     with a ["Sketch.of_arrays: …"] message on any violation. *)
 
 val of_mapped :
@@ -64,7 +65,8 @@ val of_mapped :
     interleaved [(dist, node)] pivot pairs, then interleaved
     [(node, dist)] entry pairs). Validates the structural metadata —
     section bounds against the window, [off.(0) = 0], monotone
-    offsets, [off.(n) = total], finite pivot nodes in range — so no
+    offsets, [off.(n) = total], pivot distances non-negative and
+    finite pivot nodes in range — so no
     query can index outside the mapping; the entry payload itself is
     served as-is (the full-file checksum belongs to the heap loader).
     Raises [Invalid_argument] on any violation. *)
@@ -84,9 +86,6 @@ val pivot_pairs : t -> int
 val mapped_bytes : t -> int
 (** Size in bytes of the mapped window backing this sketch; 0 for a
     heap-backed sketch. *)
-
-val backing_name : t -> string
-(** ["heap"] or ["mapped"] — for artifact metadata. *)
 
 val iter_section_words : t -> (int -> unit) -> unit
 (** Feed the canonical snapshot section word stream to [f], in the

@@ -4,7 +4,6 @@ let create ?(capacity = 16) () = { a = Array.make (max 1 capacity) 0; len = 0 }
 
 let length t = t.len
 let capacity t = Array.length t.a
-let is_empty t = t.len = 0
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Ivec.get";
@@ -29,24 +28,6 @@ let clear t = t.len <- 0
 let truncate t len =
   if len < 0 || len > t.len then invalid_arg "Ivec.truncate";
   t.len <- len
-
-let append dst src =
-  let n = src.len in
-  if n > 0 then begin
-    let need = dst.len + n in
-    let cap = Array.length dst.a in
-    if need > cap then begin
-      let ncap = ref (max 1 cap) in
-      while !ncap < need do
-        ncap := 2 * !ncap
-      done;
-      let b = Array.make !ncap 0 in
-      Array.blit dst.a 0 b 0 dst.len;
-      dst.a <- b
-    end;
-    Array.blit src.a 0 dst.a dst.len n;
-    dst.len <- need
-  end
 
 (* In-place ascending sort of the live prefix: insertion sort for short
    runs, heapsort above that. Both are allocation-free (int arguments,
@@ -107,10 +88,3 @@ let sort_flagged t flags ~lo ~hi =
     done
   end
   else sort t
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.a.(i)
-  done
-
-let to_list t = List.init t.len (fun i -> t.a.(i))

@@ -13,7 +13,6 @@ val length : t -> int
 val capacity : t -> int
 (** Backing-array size in words (>= {!length}); memory accounting. *)
 
-val is_empty : t -> bool
 val get : t -> int -> int
 val set : t -> int -> int -> unit
 val push : t -> int -> unit
@@ -24,11 +23,6 @@ val clear : t -> unit
 val truncate : t -> int -> unit
 (** [truncate t len] keeps the first [len] elements (used for in-place
     compaction). *)
-
-val append : t -> t -> unit
-(** [append dst src] pushes every element of [src] onto [dst] in
-    order; [src] is unchanged. Amortised allocation-free once [dst]
-    has reached its high-water capacity. *)
 
 val sort : t -> unit
 (** In-place ascending sort. Allocation-free (no comparator closure,
@@ -42,6 +36,3 @@ val sort_flagged : t -> Bytes.t -> lo:int -> hi:int -> unit
     rebuilt by one scan of the flags, which then beats {!sort};
     otherwise it is sorted in place, so the cost stays proportional to
     [t] when it is short. Allocation-free; same result either way. *)
-
-val iter : (int -> unit) -> t -> unit
-val to_list : t -> int list

@@ -17,7 +17,6 @@ let bits64 t =
 
 let split t = { state = bits64 t }
 
-let split_n t n = Array.init n (fun _ -> split t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

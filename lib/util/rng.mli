@@ -19,8 +19,6 @@ val mix : int -> int
 val split : t -> t
 (** [split t] derives an independent generator and advances [t]. *)
 
-val split_n : t -> int -> t array
-(** [split_n t n] derives [n] independent generators. *)
 
 val bits64 : t -> int64
 (** Next raw 64 bits. *)

@@ -4,7 +4,6 @@ type t
 
 val create : title:string -> headers:string list -> t
 val add_row : t -> string list -> unit
-val add_rows : t -> string list list -> unit
 val render : t -> string
 val print : t -> unit
 

@@ -480,7 +480,8 @@ let oracle_for ~n ~seed =
     Ds_graph.Gen.erdos_renyi ~rng:(Rng.create seed) ~n ~avg_degree:6.0 ()
   in
   let levels = Ds_core.Levels.sample ~rng:(Rng.create (seed + 1)) ~n ~k:3 in
-  Oracle.of_labels (Ds_core.Tz_centralized.build g ~levels)
+  Oracle.of_sketch
+    (Ds_sketch.Sketch.of_tz_labels (Ds_core.Tz_centralized.build g ~levels))
 
 (* The tentpole invariant CI also asserts end-to-end: the registry's
    quiesced counters and the sampler's final point must equal the

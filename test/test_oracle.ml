@@ -21,10 +21,15 @@ let labels_for ?(seed = 7) g k =
   let levels = Levels.sample ~rng:(Rng.create seed) ~n ~k in
   Tz_centralized.build g ~levels
 
+let oracle_of labels = Oracle.of_sketch (Sketch.of_tz_labels labels)
+
 let suite_stores () =
   List.map
     (fun (name, g) ->
-      (name, g, Store.of_labels ~seed:91 ~graph_family:name (labels_for g 3)))
+      ( name,
+        g,
+        Store.v ~seed:91 ~graph_family:name
+          (Sketch.of_tz_labels (labels_for g 3)) ))
     (Helpers.graph_suite 91)
 
 (* ---- snapshot store ---- *)
@@ -73,16 +78,18 @@ let test_store_file_roundtrip () =
         "file round-trip is byte-identical" true
         (String.equal (Store.to_bytes store) (Store.to_bytes reloaded)))
 
+let mentions msg substring =
+  let sl = String.length substring and ml = String.length msg in
+  let rec scan i =
+    i + sl <= ml && (String.sub msg i sl = substring || scan (i + 1))
+  in
+  scan 0
+
 let check_store_error ~name ~substring bytes =
   match Store.of_bytes bytes with
   | _ -> Alcotest.failf "%s: expected Sketch_store.Error" name
   | exception Store.Error msg ->
-    let found =
-      let sl = String.length substring and ml = String.length msg in
-      let rec scan i = i + sl <= ml && (String.sub msg i sl = substring || scan (i + 1)) in
-      scan 0
-    in
-    if not found then
+    if not (mentions msg substring) then
       Alcotest.failf "%s: error %S does not mention %S" name msg substring
 
 let test_store_malformed () =
@@ -115,18 +122,18 @@ let test_store_validation () =
   let g = Helpers.random_graph ~seed:5 20 in
   let labels = labels_for g 2 in
   Alcotest.check_raises "empty label set"
-    (Invalid_argument "Sketch_store.of_labels: empty label set") (fun () ->
-      ignore (Store.of_labels [||]));
+    (Invalid_argument "Sketch.of_tz_labels: empty label set") (fun () ->
+      ignore (Sketch.of_tz_labels [||]));
   let swapped = Array.copy labels in
   swapped.(0) <- labels.(1);
-  (match Store.of_labels swapped with
+  (match Sketch.of_tz_labels swapped with
   | _ -> Alcotest.fail "owner mismatch accepted"
   | exception Invalid_argument _ -> ())
 
-(* v2 snapshots carry any sketch family: round-trip landmark and
-   bottom-k stores the same way the tz suite above does, checking the
-   family tag and the sketch payload both survive. *)
-let test_store_v2_all_families () =
+(* Snapshots carry any sketch family: round-trip landmark and bottom-k
+   stores the same way the tz suite above does, checking the family
+   tag and the sketch payload both survive. *)
+let test_store_all_families () =
   let g = Helpers.random_graph ~seed:23 40 in
   List.iter
     (fun family ->
@@ -153,35 +160,6 @@ let test_store_v2_all_families () =
         (String.equal (Store.to_bytes store) (Store.to_bytes reloaded)))
     Family.all
 
-(* A pre-platform (v1) snapshot must still load: same sketch, family
-   mapped to [graph_family], sketch family pinned to tz. And rewriting
-   it through the v2 writer must round-trip from there. *)
-let test_store_v1_compat () =
-  let _, _, store = List.hd (suite_stores ()) in
-  let v1 = Store.to_bytes_v1 store in
-  let from_v1 = Store.of_bytes v1 in
-  Alcotest.(check string)
-    "v1 family reads back as graph_family"
-    store.Store.meta.Store.graph_family from_v1.Store.meta.Store.graph_family;
-  Alcotest.(check string)
-    "v1 sketch family is tz" "tz"
-    (Family.name from_v1.Store.meta.Store.sketch_family);
-  Alcotest.(check bool)
-    "v1 sketch payload identical" true
-    (Sketch.equal store.Store.sketch from_v1.Store.sketch);
-  (* v1 -> v2 rewrite: serializing the loaded store emits v2 bytes
-     identical to serializing the original. *)
-  Alcotest.(check bool)
-    "v1 -> v2 rewrite is byte-identical" true
-    (String.equal (Store.to_bytes store) (Store.to_bytes from_v1));
-  (* Only tz has a v1 layout. *)
-  let g = Helpers.random_graph ~seed:29 20 in
-  let built = Sketch_build.run ~family:Family.Bottomk g ~k:2 ~seed:29 in
-  let bk = Store.v ~seed:29 built.Sketch_build.sketch in
-  match Store.to_bytes_v1 bk with
-  | _ -> Alcotest.fail "v1 writer accepted a non-tz store"
-  | exception Invalid_argument _ -> ()
-
 (* ---- mapped snapshots ---- *)
 
 let with_temp_snapshot bytes f =
@@ -194,20 +172,143 @@ let with_temp_snapshot bytes f =
       close_out oc;
       f path)
 
-let check_mmap_error ~name ~substring bytes =
+let check_load_error ~mode ~name ~substring bytes =
   with_temp_snapshot bytes (fun path ->
-      match Store.load ~mode:Store.Mmap path with
-      | _ -> Alcotest.failf "%s: expected Sketch_store.Error" name
+      match Store.load ~mode path with
+      | _ ->
+        Alcotest.failf "%s (%s): expected Sketch_store.Error" name
+          (Store.mode_name mode)
       | exception Store.Error msg ->
-        let found =
-          let sl = String.length substring and ml = String.length msg in
-          let rec scan i =
-            i + sl <= ml && (String.sub msg i sl = substring || scan (i + 1))
-          in
-          scan 0
-        in
-        if not found then
-          Alcotest.failf "%s: error %S does not mention %S" name msg substring)
+        if not (mentions msg substring) then
+          Alcotest.failf "%s (%s): error %S does not mention %S" name
+            (Store.mode_name mode) msg substring)
+
+let check_mmap_error = check_load_error ~mode:Store.Mmap
+
+let check_both_loaders ~name ~substring bytes =
+  List.iter
+    (fun mode -> check_load_error ~mode ~name ~substring bytes)
+    [ Store.Heap; Store.Mmap ]
+
+(* Byte offset where [store]'s sections begin: everything between the
+   header and the sections is fixed-width, so the header length falls
+   out of the file size. *)
+let body_offset store =
+  let sk = store.Store.sketch in
+  let words =
+    Sketch.n sk + 1 + (2 * Sketch.pivot_pairs sk)
+    + (2 * Sketch.total_entries sk)
+  in
+  String.length (Store.to_bytes store) - (8 * words) - 8
+
+(* Recompute the header digest (the last header word) and the file
+   trailer after patching [b], so the patched file is checksum-valid
+   and only the structural checks can reject it. *)
+let reseal ~body b =
+  let len = Bytes.length b in
+  Bytes.set_int64_le b (body - 8)
+    (Store.fnv1a64 (Bytes.sub_string b 0 (body - 8)));
+  Bytes.set_int64_le b (len - 8)
+    (Store.fnv1a64 (Bytes.sub_string b 0 (len - 8)));
+  Bytes.to_string b
+
+(* This build reads version 3 only. Older layouts (1, 2) and future
+   ones (4) must fail with a structured error from both loaders, even
+   when every checksum is valid — never be parsed as v3 or served. *)
+let test_store_versions () =
+  let _, _, store = List.hd (suite_stores ()) in
+  let good = Store.to_bytes store in
+  let body = body_offset store in
+  List.iter
+    (fun ver ->
+      let b = Bytes.of_string good in
+      Bytes.set_int64_le b 8 (Int64.of_int ver);
+      check_both_loaders
+        ~name:(Printf.sprintf "version %d" ver)
+        ~substring:"unsupported snapshot version" (reseal ~body b))
+    [ 1; 2; 4 ]
+
+(* Pivots are what a tz query indexes through and adds up: a finite
+   pivot naming node [n] would index outside the sketch, and a
+   negative pivot distance would be served as a negative estimate.
+   Checksum-valid files with either defect must fail to load in both
+   modes. *)
+let test_store_bad_pivots () =
+  let _, _, store = List.hd (suite_stores ()) in
+  let good = Store.to_bytes store in
+  let body = body_offset store in
+  let n = Sketch.n store.Store.sketch in
+  (* Pivot pair 0 is node 0's level-0 pivot: itself, at distance 0. *)
+  let pivot0 = body + (8 * (n + 1)) in
+  let patch at v =
+    let b = Bytes.of_string good in
+    Bytes.set_int64_le b at (Int64.of_int v);
+    reseal ~body b
+  in
+  check_both_loaders ~name:"pivot node n" ~substring:"pivot node"
+    (patch (pivot0 + 8) n);
+  check_both_loaders ~name:"negative pivot distance"
+    ~substring:"negative pivot distance" (patch pivot0 (-1000))
+
+(* [save] replaces the file by rename, so a process that has the old
+   snapshot mapped keeps serving it unchanged, a fresh load sees the
+   new one, and no temp file is left behind — also when the rename
+   fails. *)
+let test_store_save_over_mapped () =
+  let g = Helpers.random_graph ~seed:37 40 in
+  let store_a = Store.v (Sketch.of_tz_labels (labels_for ~seed:38 g 3)) in
+  let store_b = Store.v (Sketch.of_tz_labels (labels_for ~seed:39 g 2)) in
+  let dir = Filename.temp_dir "distsketch" "" in
+  let path = Filename.concat dir "snap.dsk" in
+  let leftovers () =
+    Array.to_list (Sys.readdir dir)
+    |> List.filter (fun f -> f <> "snap.dsk" && f <> "sub.dsk")
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun f ->
+          let p = Filename.concat dir f in
+          if Sys.is_directory p then Sys.rmdir p else Sys.remove p)
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      Store.save path store_a;
+      let mapped = Store.load ~mode:Store.Mmap path in
+      let before =
+        Array.init 40 (fun u ->
+            Array.init 40 (fun v -> Oracle.query (Oracle.of_store mapped) u v))
+      in
+      Store.save path store_b;
+      Alcotest.(check bool)
+        "mapped snapshot unchanged by save" true
+        (Sketch.equal store_a.Store.sketch mapped.Store.sketch);
+      for u = 0 to 39 do
+        for v = 0 to 39 do
+          Alcotest.(check int)
+            (Printf.sprintf "mapped query(%d,%d) unchanged" u v)
+            before.(u).(v)
+            (Oracle.query (Oracle.of_store mapped) u v)
+        done
+      done;
+      List.iter
+        (fun mode ->
+          let fresh = Store.load ~mode path in
+          Alcotest.(check bool)
+            (Store.mode_name mode ^ " load sees the new snapshot")
+            true
+            (Sketch.equal store_b.Store.sketch fresh.Store.sketch))
+        [ Store.Heap; Store.Mmap ];
+      Alcotest.(check (list string)) "no temp file left" [] (leftovers ());
+      (* Renaming a file over a directory fails: the error surfaces
+         and the temp file is removed. *)
+      let sub = Filename.concat dir "sub.dsk" in
+      Sys.mkdir sub 0o755;
+      (match Store.save sub store_b with
+      | () -> Alcotest.fail "save over a directory succeeded"
+      | exception Unix.Unix_error _ -> ());
+      Alcotest.(check (list string))
+        "no temp file left after a failed save" [] (leftovers ()))
 
 (* The mapped loader must reject every malformed input the heap loader
    rejects — with a structured [Error], never a crash or silent
@@ -230,30 +331,16 @@ let test_store_mmap_malformed () =
     (String.sub good 0 (len - 8));
   check_mmap_error ~name:"oversized" ~substring:"oversized"
     (good ^ String.make 8 'x');
-  (* v1/v2 layouts have unaligned sections; the mapped loader must
-     refuse them with upgrade advice rather than serve garbage. *)
-  check_mmap_error ~name:"v2 via mmap" ~substring:"predates"
-    (Store.to_bytes_v2 store);
-  check_mmap_error ~name:"v1 via mmap" ~substring:"predates"
-    (Store.to_bytes_v1 store);
   (* A flipped header byte fails the O(1) header checksum. *)
   (let b = Bytes.of_string good in
    Bytes.set_int64_le b 32 0x4242424242424242L;
    check_mmap_error ~name:"header flip" ~substring:"header checksum"
      (Bytes.to_string b));
   (* A corrupted offset table is the one section a mapped query
-     indexes through, so [of_mapped] validates it in full. Locate it
-     from the section arithmetic: everything between the header and
-     the sections is fixed-width, so the header length falls out of
-     the file size. *)
+     indexes through, so [of_mapped] validates it in full. *)
   (let sk = store.Store.sketch in
-   let n = Sketch.n sk in
-   let words =
-     n + 1 + (2 * Sketch.pivot_pairs sk) + (2 * Sketch.total_entries sk)
-   in
-   let header_bytes = len - (8 * words) - 8 in
    let b = Bytes.of_string good in
-   Bytes.set_int64_le b (header_bytes + 8)
+   Bytes.set_int64_le b (body_offset store + 8)
      (Int64.of_int (Sketch.total_entries sk + 1000));
    check_mmap_error ~name:"corrupt off table" ~substring:"corrupt snapshot"
      (Bytes.to_string b))
@@ -341,7 +428,7 @@ let test_oracle_matches_label_query () =
       List.iter
         (fun k ->
           let labels = labels_for ~seed:(100 + k) g k in
-          let o = Oracle.of_labels labels in
+          let o = oracle_of labels in
           let n = Graph.n g in
           for u = 0 to n - 1 do
             for v = u to n - 1 do
@@ -361,9 +448,10 @@ let test_oracle_matches_label_query () =
 let test_oracle_from_store_matches () =
   let g = Helpers.random_graph ~seed:31 50 in
   let labels = labels_for ~seed:32 g 3 in
-  let o1 = Oracle.of_labels labels in
+  let o1 = oracle_of labels in
   let o2 =
-    Oracle.of_store (Store.of_bytes (Store.to_bytes (Store.of_labels labels)))
+    Oracle.of_store
+      (Store.of_bytes (Store.to_bytes (Store.v (Sketch.of_tz_labels labels))))
   in
   for u = 0 to 49 do
     for v = 0 to 49 do
@@ -376,7 +464,7 @@ let test_oracle_from_store_matches () =
 let test_oracle_bunch_dist () =
   let g = Helpers.random_graph ~seed:41 40 in
   let labels = labels_for ~seed:42 g 3 in
-  let o = Oracle.of_labels labels in
+  let o = oracle_of labels in
   for u = 0 to 39 do
     for w = 0 to 39 do
       Alcotest.(check (option int))
@@ -389,7 +477,7 @@ let test_oracle_bunch_dist () =
 let test_oracle_size_words () =
   let g = Helpers.random_graph ~seed:43 40 in
   let labels = labels_for ~seed:44 g 3 in
-  let o = Oracle.of_labels labels in
+  let o = oracle_of labels in
   let total = Array.fold_left (fun a l -> a + Label.size_words l) 0 labels in
   Alcotest.(check int) "oracle size = sum of label sizes" total
     (Oracle.size_words o)
@@ -397,7 +485,7 @@ let test_oracle_size_words () =
 let test_oracle_probes () =
   let g = Helpers.random_graph ~seed:47 40 in
   let labels = labels_for ~seed:48 g 3 in
-  let o = Oracle.of_labels labels in
+  let o = oracle_of labels in
   for u = 0 to 39 do
     for v = 0 to 39 do
       let est, probes = Oracle.query_probes o u v in
@@ -411,13 +499,13 @@ let test_oracle_probes () =
 let test_oracle_validation () =
   let g = Helpers.random_graph ~seed:51 20 in
   let labels = labels_for g 2 in
-  let o = Oracle.of_labels labels in
+  let o = oracle_of labels in
   (match Oracle.query o 0 20 with
   | _ -> Alcotest.fail "out-of-range query accepted"
   | exception Invalid_argument _ -> ());
   let mixed = Array.copy labels in
   mixed.(3) <- Label.create ~owner:3 ~k:5;
-  match Oracle.of_labels mixed with
+  match oracle_of mixed with
   | _ -> Alcotest.fail "mixed k accepted"
   | exception Invalid_argument _ -> ()
 
@@ -426,35 +514,39 @@ let test_oracle_validation () =
 let test_batch_pool_size_independent () =
   let g = Helpers.random_graph ~seed:61 80 in
   let labels = labels_for ~seed:62 g 3 in
-  let o = Oracle.of_labels labels in
-  let pairs =
-    Workload.pairs ~rng:(Rng.create 63) Workload.Uniform ~n:80 ~count:5000
+  let o = oracle_of labels in
+  let flat =
+    Workload.pairs_flat ~rng:(Rng.create 63) Workload.Uniform ~n:80 ~count:5000
   in
-  let baseline = Array.map (fun (u, v) -> Oracle.query o u v) pairs in
+  let baseline =
+    Array.init 5000 (fun i -> Oracle.query o flat.(2 * i) flat.((2 * i) + 1))
+  in
   Alcotest.(check (array int))
     "sequential batch = one-by-one" baseline
-    (Oracle.query_batch o pairs);
+    (Oracle.query_batch_flat o flat);
   List.iter
     (fun domains ->
       Pool.with_pool ~domains (fun pool ->
           Alcotest.(check (array int))
             (Printf.sprintf "batch identical on %d domains" domains)
             baseline
-            (Oracle.query_batch ~pool o pairs)))
+            (Oracle.query_batch_flat ~pool o flat)))
     [ 1; 2; 3; 4 ]
 
 let test_run_batch_stats () =
   let g = Helpers.random_graph ~seed:71 60 in
   let labels = labels_for ~seed:72 g 3 in
-  let o = Oracle.of_labels labels in
-  let pairs =
-    Workload.pairs ~rng:(Rng.create 73)
+  let o = oracle_of labels in
+  let flat =
+    Workload.pairs_flat ~rng:(Rng.create 73)
       (Workload.Zipf { alpha = 1.2 })
       ~n:60 ~count:2000
   in
-  let results, stats = Oracle.run_batch o pairs in
+  let results, stats = Oracle.run_batch_flat o flat in
   Alcotest.(check (array int))
-    "run_batch answers = query_batch" (Oracle.query_batch o pairs) results;
+    "run_batch_flat answers = query_batch_flat"
+    (Oracle.query_batch_flat o flat)
+    results;
   Alcotest.(check int) "stats pairs" 2000 stats.Oracle.pairs;
   Alcotest.(check bool) "positive qps" true (stats.Oracle.qps > 0.0);
   Alcotest.(check bool) "positive latency" true
@@ -462,26 +554,25 @@ let test_run_batch_stats () =
 
 (* ---- workloads ---- *)
 
-let endpoint_counts n pairs =
+let check_pairs ~n flat =
+  for i = 0 to (Array.length flat / 2) - 1 do
+    let u = flat.(2 * i) and v = flat.((2 * i) + 1) in
+    Alcotest.(check bool) "in range, distinct endpoints" true
+      (u >= 0 && u < n && v >= 0 && v < n && u <> v)
+  done
+
+let endpoint_counts n flat =
   let c = Array.make n 0 in
-  Array.iter
-    (fun (u, v) ->
-      c.(u) <- c.(u) + 1;
-      c.(v) <- c.(v) + 1)
-    pairs;
+  Array.iter (fun x -> c.(x) <- c.(x) + 1) flat;
   c
 
 let test_workload_uniform () =
   let n = 50 and count = 4000 in
-  let p1 = Workload.pairs ~rng:(Rng.create 81) Workload.Uniform ~n ~count in
-  let p2 = Workload.pairs ~rng:(Rng.create 81) Workload.Uniform ~n ~count in
+  let p1 = Workload.pairs_flat ~rng:(Rng.create 81) Workload.Uniform ~n ~count in
+  let p2 = Workload.pairs_flat ~rng:(Rng.create 81) Workload.Uniform ~n ~count in
   Alcotest.(check bool) "deterministic in the seed" true (p1 = p2);
-  Alcotest.(check int) "count" count (Array.length p1);
-  Array.iter
-    (fun (u, v) ->
-      Alcotest.(check bool) "in range, distinct endpoints" true
-        (u >= 0 && u < n && v >= 0 && v < n && u <> v))
-    p1;
+  Alcotest.(check int) "count" (2 * count) (Array.length p1);
+  check_pairs ~n p1;
   (* Uniform: no endpoint should dominate. Expected 160 per node. *)
   let c = endpoint_counts n p1 in
   Alcotest.(check bool) "no hotspot" true
@@ -490,14 +581,10 @@ let test_workload_uniform () =
 let test_workload_zipf () =
   let n = 50 and count = 4000 in
   let kind = Workload.Zipf { alpha = 1.4 } in
-  let p1 = Workload.pairs ~rng:(Rng.create 83) kind ~n ~count in
-  let p2 = Workload.pairs ~rng:(Rng.create 83) kind ~n ~count in
+  let p1 = Workload.pairs_flat ~rng:(Rng.create 83) kind ~n ~count in
+  let p2 = Workload.pairs_flat ~rng:(Rng.create 83) kind ~n ~count in
   Alcotest.(check bool) "deterministic in the seed" true (p1 = p2);
-  Array.iter
-    (fun (u, v) ->
-      Alcotest.(check bool) "in range, distinct endpoints" true
-        (u >= 0 && u < n && v >= 0 && v < n && u <> v))
-    p1;
+  check_pairs ~n p1;
   let c = endpoint_counts n p1 in
   let hottest = Array.fold_left max 0 c in
   let mean = 2 * count / n in
@@ -506,7 +593,7 @@ let test_workload_zipf () =
     true
     (hottest >= 4 * mean);
   (* Different seeds shuffle the hot set. *)
-  let p3 = Workload.pairs ~rng:(Rng.create 84) kind ~n ~count in
+  let p3 = Workload.pairs_flat ~rng:(Rng.create 84) kind ~n ~count in
   Alcotest.(check bool) "seed moves the hot set" true (p1 <> p3)
 
 let test_workload_pairs_file () =
@@ -574,10 +661,14 @@ let suite =
       test_store_malformed;
     Alcotest.test_case "store: label-set validation" `Quick
       test_store_validation;
-    Alcotest.test_case "store: v2 round-trip, every sketch family" `Quick
-      test_store_v2_all_families;
-    Alcotest.test_case "store: v1 snapshots still load" `Quick
-      test_store_v1_compat;
+    Alcotest.test_case "store: round-trip, every sketch family" `Quick
+      test_store_all_families;
+    Alcotest.test_case "store: other versions rejected by both loaders"
+      `Quick test_store_versions;
+    Alcotest.test_case "store: bad pivots rejected by both loaders" `Quick
+      test_store_bad_pivots;
+    Alcotest.test_case "store: save never touches a mapped snapshot" `Quick
+      test_store_save_over_mapped;
     Alcotest.test_case "store: mapped loader rejects malformed input" `Quick
       test_store_mmap_malformed;
     Alcotest.test_case "store: mmap oracle = heap oracle, all families" `Slow
@@ -594,7 +685,8 @@ let suite =
     Alcotest.test_case "oracle input validation" `Quick test_oracle_validation;
     Alcotest.test_case "batch answers independent of pool size" `Quick
       test_batch_pool_size_independent;
-    Alcotest.test_case "run_batch stats sane" `Quick test_run_batch_stats;
+    Alcotest.test_case "run_batch_flat stats sane" `Quick
+      test_run_batch_stats;
     Alcotest.test_case "workload: uniform" `Quick test_workload_uniform;
     Alcotest.test_case "workload: zipf hotspots" `Quick test_workload_zipf;
     Alcotest.test_case "workload: pairs-file round-trip" `Quick

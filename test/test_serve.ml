@@ -14,7 +14,8 @@ module Pool = Ds_parallel.Pool
 let oracle_for ~n ~seed =
   let g = Gen.erdos_renyi ~rng:(Rng.create seed) ~n ~avg_degree:6.0 () in
   let levels = Levels.sample ~rng:(Rng.create (seed + 1)) ~n ~k:3 in
-  Oracle.of_labels (Ds_core.Tz_centralized.build g ~levels)
+  Oracle.of_sketch
+    (Ds_sketch.Sketch.of_tz_labels (Ds_core.Tz_centralized.build g ~levels))
 
 let baseline oracle flat =
   Array.init (Array.length flat / 2) (fun i ->
